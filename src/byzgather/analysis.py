@@ -16,7 +16,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    AllCoincidentError,
     BadParamsError,
     DegenerateRatioError,
     SubsetNeverGathersError,
@@ -25,8 +24,7 @@ from .errors import (
 from .geom import (
     EPS_GEO,
     Point2,
-    _clip_halfplane,
-    closest_distinct_pair,
+    closest_distinct_pair,  # unused here; the benchmark's layer tracer patches it
     dist,
     minidisk,
     support_set,
@@ -40,17 +38,7 @@ from .model import (
     make_instance,
     optimal_gather_time,
 )
-from .planners import (
-    opt_point_f1,
-    plan_centerpoint,
-    plan_grid,
-    plan_hamsandwich,
-    plan_opt_f1,
-    plan_ssi,
-    subset_radius_order,
-)
-
-SQRT2 = math.sqrt(2.0)
+from .planners import PLANNERS, subset_radius_order
 
 # Acceptance slack when comparing a measured ratio against a proven bound.
 BOUND_SLACK = 1e-6
@@ -70,10 +58,6 @@ class AdversaryReport(NamedTuple):
     bound: Optional[float]
     bound_satisfied: Optional[bool]
     subsets: list
-
-
-def _mask_points(instance: Instance, mask: int) -> list[Point2]:
-    return [instance.robots[i] for i in range(instance.n) if mask >> i & 1]
 
 
 def competitive_ratio(
@@ -106,36 +90,11 @@ def bound_for_report(
 ) -> Optional[float]:
     """Proven worst-case ratio for the schedule's planner, if one exists.
 
-    mec: 1 for F = 0 (no bound otherwise); opt-f1/tri: the predicted
-    ratio; centerpoint: 2; hamsandwich: 2*sqrt(2); ssi: F + 2; grid:
-    2*sqrt(2) * (16 + d_eps / closest-pair distance within the worst
-    subset). Returns None when no bound applies.
+    Looks the schedule's algorithm up in PLANNERS; returns None for an
+    unknown algorithm or where the row's bound does not apply.
     """
-    alg = schedule.algorithm
-    if alg == "mec":
-        return 1.0 if instance.f == 0 else None
-    if alg in ("opt-f1", "tri", "single-point"):
-        val = schedule.meta.get("predicted_cr")
-        return float(val) if val is not None else None
-    if alg == "centerpoint":
-        return 2.0
-    if alg == "hamsandwich":
-        return 2.0 * SQRT2
-    if alg == "ssi":
-        return instance.f + 2.0
-    if alg == "grid":
-        d_eps = schedule.meta.get("d_eps")
-        if not d_eps:
-            return None
-        pts = _mask_points(instance, argmax_mask)
-        if len(pts) < 2:
-            return None
-        try:
-            ab = closest_distinct_pair(pts)[2]
-        except AllCoincidentError:
-            return None
-        return 2.0 * SQRT2 * (16.0 + float(d_eps) / ab)
-    return None
+    row = PLANNERS.get(schedule.algorithm)
+    return None if row is None else row.bound(instance, schedule, argmax_mask)
 
 
 def overall_cr(
@@ -204,39 +163,15 @@ class LbCertificate(NamedTuple):
     Applies when the full enclosing circle has exactly two support
     points. q is the working radius r_0 * r_S / r_1; intersects reports
     whether the segment between the two support points meets the
-    intersection P of the disks of radius q around the cheapest
-    leave-one-out subset (computed exactly); region is a polygonal
-    approximation of P for display only.
+    intersection of the disks of radius q around the cheapest
+    leave-one-out subset (computed exactly).
     """
 
     applicable: bool
     q: float
     intersects: bool
-    region: list
     support: list
     lower_bound: float
-
-
-def _disk_intersection_polygon(
-    centers: Sequence[Point2], radius: float, sides: int = 128
-) -> list:
-    c0 = centers[0]
-    inradius = radius * math.cos(math.pi / sides)
-    poly = [
-        Point2(
-            c0.x + radius * math.cos(2.0 * math.pi * k / sides),
-            c0.y + radius * math.sin(2.0 * math.pi * k / sides),
-        )
-        for k in range(sides)
-    ]
-    for c in centers[1:]:
-        for k in range(sides):
-            ang = 2.0 * math.pi * (k + 0.5) / sides
-            nx, ny = math.cos(ang), math.sin(ang)
-            poly = _clip_halfplane(poly, nx, ny, nx * c.x + ny * c.y + inradius)
-            if not poly:
-                return []
-    return [[p.x, p.y] for p in poly]
 
 
 def check_lb_achievable(instance: Instance) -> LbCertificate:
@@ -246,8 +181,7 @@ def check_lb_achievable(instance: Instance) -> LbCertificate:
     the bound r_S / r_1 is attained by some single-target plan if the
     segment AC meets every disk of radius q = r_0 * r_S / r_1 around the
     cheapest leave-one-out subset. The segment-disks intersection test is
-    exact (quadratic parameter intervals); the returned region polygon is
-    an approximation for display.
+    exact (quadratic parameter intervals).
     """
     if instance.n < 3:
         raise TooSmallError("certificate needs at least 3 robots")
@@ -261,7 +195,7 @@ def check_lb_achievable(instance: Instance) -> LbCertificate:
     lb = math.inf if r1 <= 0.0 else rs / r1
     if len(sup) != 2 or r1 <= 0.0:
         q = 0.0 if r1 <= 0.0 else r0 * rs / r1
-        return LbCertificate(False, q, False, [], sup, lb)
+        return LbCertificate(False, q, False, sup, lb)
     q = r0 * rs / r1
     s0 = [p for j, p in enumerate(robots) if j != omit0]
     a_pt, c_pt = robots[sup[0]], robots[sup[1]]
@@ -288,8 +222,7 @@ def check_lb_achievable(instance: Instance) -> LbCertificate:
         if lo > hi:
             intersects = False
             break
-    region = _disk_intersection_polygon(s0, q)
-    return LbCertificate(True, q, intersects, region, sup, lb)
+    return LbCertificate(True, q, intersects, sup, lb)
 
 
 class OracleResult(NamedTuple):
@@ -418,73 +351,47 @@ def _random_instance(rng: random.Random, n: int, f: int, box: float = 100.0) -> 
     return make_instance(pts, f)
 
 
+# Regimes in the bench table and the range of n drawn for each.
+BENCH_SIZES = {
+    "opt-f1": (3, 8),
+    "centerpoint": (4, 9),
+    "hamsandwich": (4, 9),
+    "ssi": (4, 9),
+    "grid": (4, 7),
+}
+
+
 def bench_table(seed: int = 0, per_row: int = 100) -> list:
     """Worst measured ratio per planner regime on random instances.
 
-    One row per planner regime; each row draws per_row random instances
-    with the budget pushed to the regime's limit and reports the worst
-    overall ratio, the applicable bound, and the worst slack (ratio minus
-    bound; at most ~1e-6 when every bound holds).
+    One row per regime in BENCH_SIZES; each row draws per_row random
+    instances with the budget pushed to the regime's limit and reports
+    the worst overall ratio, the applicable bound, and the worst slack
+    (ratio minus bound; at most ~1e-6 when every bound holds).
     """
     rng = random.Random(seed)
     rows = []
-
-    def run(label, algorithm, gen, planner, bound_desc):
+    for alg, (lo, hi) in BENCH_SIZES.items():
+        planner = PLANNERS[alg]
         worst_cr = 0.0
         worst_slack = -math.inf
         for _ in range(per_row):
-            inst = gen()
-            sched = planner(inst)
-            rep = overall_cr(inst, sched)
+            n = rng.randint(lo, hi)
+            f = max(k for k in range(n - 1) if planner.applies(n, k))
+            inst = _random_instance(rng, n, f)
+            rep = overall_cr(inst, planner.plan(inst))
             worst_cr = max(worst_cr, rep.overall_cr)
-            bound = bound_for_report(inst, sched, rep.argmax_mask)
-            if bound is not None:
-                worst_slack = max(worst_slack, rep.overall_cr - bound)
+            if rep.bound is not None:
+                worst_slack = max(worst_slack, rep.overall_cr - rep.bound)
         rows.append(
             BenchRow(
-                label,
-                algorithm,
+                planner.label,
+                alg,
                 per_row,
                 worst_cr,
-                bound_desc,
+                planner.bound_desc,
                 worst_slack,
                 bool(worst_slack <= BOUND_SLACK),
             )
         )
-
-    run(
-        "F = 1 (optimal target)",
-        "opt-f1",
-        lambda: _random_instance(rng, rng.randint(3, 8), 1),
-        plan_opt_f1,
-        "predicted per instance",
-    )
-    run(
-        "F < ceil(n/3)",
-        "centerpoint",
-        lambda: (lambda n: _random_instance(rng, n, -(-n // 3) - 1))(rng.randint(4, 9)),
-        plan_centerpoint,
-        "2",
-    )
-    run(
-        "F < ceil(n/2)",
-        "hamsandwich",
-        lambda: (lambda n: _random_instance(rng, n, -(-n // 2) - 1))(rng.randint(4, 9)),
-        plan_hamsandwich,
-        "2*sqrt(2)",
-    )
-    run(
-        "F <= n - 2 (closest pair)",
-        "ssi",
-        lambda: (lambda n: _random_instance(rng, n, n - 2))(rng.randint(4, 9)),
-        plan_ssi,
-        "F + 2",
-    )
-    run(
-        "F <= n - 2 (grid)",
-        "grid",
-        lambda: (lambda n: _random_instance(rng, n, n - 2))(rng.randint(4, 7)),
-        plan_grid,
-        "2*sqrt(2)*(16 + d_eps/|AB|)",
-    )
     return rows

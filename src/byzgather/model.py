@@ -93,9 +93,9 @@ def position_at(trajectory: Sequence[Waypoint], t: float) -> Point2:
 def validate_schedule(instance: Instance, schedule: Schedule) -> list[str]:
     """Check a schedule against the instance; returns violation strings.
 
-    Checks: one trajectory per robot, start at the robot's position at
-    t = 0, non-decreasing timestamps, and speed at most 1 on every leg.
-    An empty list means the schedule is valid.
+    Checks: one trajectory per robot, finite waypoints, start at the
+    robot's position at t = 0, non-decreasing timestamps, and speed at
+    most 1 on every leg. An empty list means the schedule is valid.
     """
     out: list[str] = []
     trajs = schedule.trajectories
@@ -107,6 +107,10 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> list[str]:
     for i, traj in enumerate(trajs):
         if not traj:
             out.append(f"robot {i}: empty trajectory")
+            continue
+        finite = [all(map(math.isfinite, (t, *p))) for t, p in traj]
+        if not all(finite):
+            out.append(f"robot {i}: non-finite waypoint {finite.index(False)}")
             continue
         t0, p0 = traj[0]
         if abs(t0) > EPS_GEO:
@@ -249,7 +253,13 @@ def instance_to_obj(instance: Instance) -> dict:
 def _as_number(v, what: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{what} must be a number")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    return x
 
 
 def instance_from_obj(obj) -> Instance:

@@ -7,16 +7,20 @@ Eight planners share the Schedule output type:
   plan_tri          three robots, F = 1, closed-form optimal target
   plan_centerpoint  F < ceil(n/3), everyone to a centerpoint
   plan_hamsandwich  F < ceil(n/2), everyone to a median-line crossing
-  plan_grid         hierarchical grid snapping, any F <= n-2
   plan_ssi          repeated closest-pair contraction, any F <= n-2
-  plan_auto         budget-based dispatch over the above
+  plan_grid         hierarchical grid snapping, any F <= n-2
+  plan_auto         the first planner in PLANNERS whose budget holds
+
+PLANNERS is the one table of planners: each row holds the planner, the
+budgets at which plan_auto may pick it, its proven bound, and its bench
+text.
 
 Planners never learn which robots are reliable; schedules only branch on
 positions observable along the way (for F = 1, on which robot lags).
 """
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     AllCoincidentError,
@@ -43,9 +47,13 @@ from .model import Instance, Schedule, Waypoint
 
 SQRT2 = math.sqrt(2.0)
 
-# Largest fault budget for which the closest-pair planner's F + 2 bound
-# beats the grid planner's constant: floor(32*sqrt(2)) - 2.
-SSI_MAX_F = 43
+
+def _ceil_third(n: int) -> int:
+    return -(-n // 3)
+
+
+def _ceil_half(n: int) -> int:
+    return -(-n // 2)
 
 
 def _straight_to(points: Sequence[Point2], target, algorithm: str, meta=None) -> Schedule:
@@ -346,7 +354,7 @@ def plan_tri(instance: Instance) -> Schedule:
 
 def plan_centerpoint(instance: Instance) -> Schedule:
     """Everyone to a centerpoint of the start positions; needs F < ceil(n/3)."""
-    limit = -(-instance.n // 3)
+    limit = _ceil_third(instance.n)
     if instance.f >= limit:
         raise BudgetTooLargeError(
             f"centerpoint plan requires F < ceil(n/3) = {limit}, got F = {instance.f}"
@@ -357,7 +365,7 @@ def plan_centerpoint(instance: Instance) -> Schedule:
 
 def plan_hamsandwich(instance: Instance) -> Schedule:
     """Everyone to the crossing of the two median lines; needs F < ceil(n/2)."""
-    limit = -(-instance.n // 2)
+    limit = _ceil_half(instance.n)
     if instance.f >= limit:
         raise BudgetTooLargeError(
             f"median-line plan requires F < ceil(n/2) = {limit}, got F = {instance.f}"
@@ -366,22 +374,13 @@ def plan_hamsandwich(instance: Instance) -> Schedule:
     return _straight_to(instance.robots, k, "hamsandwich", {"D": [k.x, k.y]})
 
 
-class GridParams(NamedTuple):
-    d_eps: float
-    max_level: Optional[int] = None
-
-
 def _grid_cell(ux: float, uy: float, level: int) -> tuple[int, int]:
     # Cell k covers ((k - 1/2) * 2^level, (k + 1/2) * 2^level] per axis.
     s = 2.0 ** level
     return (math.ceil(ux / s - 0.5), math.ceil(uy / s - 0.5))
 
 
-def plan_grid(
-    instance: Instance,
-    d_eps: Optional[float] = None,
-    max_level: Optional[int] = None,
-) -> Schedule:
+def plan_grid(instance: Instance, d_eps: Optional[float] = None) -> Schedule:
     """Hierarchical grid snapping: works for every fault budget.
 
     Scale the plane by 1/d_eps. At level i = 1, 2, ... each robot moves to
@@ -406,10 +405,6 @@ def plan_grid(
     level = 1
     while len({_grid_cell(ux, uy, level) for ux, uy in scaled}) > 1:
         level += 1
-        if max_level is not None and level > max_level:
-            raise BadParamsError(
-                f"robots do not share a cell within max_level = {max_level}"
-            )
     top = level
 
     overruns = 0
@@ -468,7 +463,8 @@ def plan_ssi(instance: Instance) -> Schedule:
         nxt = []
         for p in cur:
             r = dist(p, d_pt)
-            assert r >= d * (1.0 - 1e-9) - EPS_GEO, "closest-pair property violated"
+            if r < d * (1.0 - 1e-9) - EPS_GEO:
+                raise DegenerateError("closest-pair property violated")
             if r <= d * (1.0 + 1e-12):
                 q = d_pt
             else:
@@ -481,19 +477,86 @@ def plan_ssi(instance: Instance) -> Schedule:
 
 
 def plan_auto(instance: Instance) -> Schedule:
-    """Pick the strongest planner the fault budget allows.
+    """Run the first planner in PLANNERS whose budget holds.
 
-    F = 1 gets the optimal plan; F < ceil(n/3) the centerpoint plan;
-    F < ceil(n/2) the median-line plan; F <= 43 the closest-pair plan
-    (bound F + 2); anything larger the grid plan (constant bound).
+    The table is ordered by proven ratio, so this is the planner with the
+    smallest bound: mec for F = 0, opt-f1 for F = 1, then centerpoint,
+    hamsandwich, ssi and grid.
     """
-    f = instance.f
-    if f == 1:
-        return plan_opt_f1(instance)
-    if f < -(-instance.n // 3):
-        return plan_centerpoint(instance)
-    if f < -(-instance.n // 2):
-        return plan_hamsandwich(instance)
-    if f <= SSI_MAX_F:
-        return plan_ssi(instance)
-    return plan_grid(instance)
+    row = next(r for r in PLANNERS.values() if r.applies(instance.n, instance.f))
+    return row.plan(instance)
+
+
+class Planner(NamedTuple):
+    """One row of PLANNERS.
+
+    applies(n, F) holds at the budgets where plan_auto may pick the row.
+    bound(instance, schedule, worst_mask) is the planner's proven ratio
+    for a schedule whose worst subset is worst_mask, or None where none
+    applies. label
+    and bound_desc name the regime and the bound in the bench table.
+    """
+
+    plan: Callable[[Instance], Schedule]
+    applies: Callable[[int, int], bool]
+    bound: Callable[[Instance, Schedule, int], Optional[float]]
+    label: str
+    bound_desc: str
+
+
+def _predicted_bound(
+    instance: Instance, schedule: Schedule, mask: int
+) -> Optional[float]:
+    val = schedule.meta.get("predicted_cr")
+    return float(val) if val is not None else None
+
+
+def _grid_bound(instance: Instance, schedule: Schedule, mask: int) -> Optional[float]:
+    """2*sqrt(2) * (16 + d_eps / closest-pair distance within the subset)."""
+    d_eps = schedule.meta.get("d_eps")
+    if not d_eps:
+        return None
+    pts = [p for i, p in enumerate(instance.robots) if mask >> i & 1]
+    try:
+        ab = closest_distinct_pair(pts)[2]
+    except AllCoincidentError:
+        return None
+    return 2.0 * SQRT2 * (16.0 + float(d_eps) / ab)
+
+
+# Ordered by proven ratio. ssi's F + 2 beats grid's 2*sqrt(2)*16 while
+# F <= floor(32*sqrt(2)) - 2 = 43.
+PLANNERS: dict[str, Planner] = {
+    "mec": Planner(
+        plan_mec, lambda n, f: f == 0,
+        lambda inst, sched, mask: 1.0 if inst.f == 0 else None,
+        "F = 0 (enclosing circle)", "1",
+    ),
+    "opt-f1": Planner(
+        plan_opt_f1, lambda n, f: f == 1, _predicted_bound,
+        "F = 1 (optimal target)", "predicted per instance",
+    ),
+    "tri": Planner(
+        plan_tri, lambda n, f: n == 3 and f == 1, _predicted_bound,
+        "n = 3, F = 1 (closed form)", "predicted per instance",
+    ),
+    "centerpoint": Planner(
+        plan_centerpoint, lambda n, f: f < _ceil_third(n),
+        lambda inst, sched, mask: 2.0,
+        "F < ceil(n/3)", "2",
+    ),
+    "hamsandwich": Planner(
+        plan_hamsandwich, lambda n, f: f < _ceil_half(n),
+        lambda inst, sched, mask: 2.0 * SQRT2,
+        "F < ceil(n/2)", "2*sqrt(2)",
+    ),
+    "ssi": Planner(
+        plan_ssi, lambda n, f: f <= 43,
+        lambda inst, sched, mask: inst.f + 2.0,
+        "F <= n - 2 (closest pair)", "F + 2",
+    ),
+    "grid": Planner(
+        plan_grid, lambda n, f: True, _grid_bound,
+        "F <= n - 2 (grid)", "2*sqrt(2)*(16 + d_eps/|AB|)",
+    ),
+}

@@ -13,6 +13,7 @@ import pytest
 
 from byzgather import dumps, instance_to_obj, make_instance
 from byzgather.cli import main
+from byzgather.planners import PLANNERS
 from util import LINE3, SQUARE
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -123,6 +124,25 @@ class TestExitCodes:
         assert main(["eval", "--input", inst, "--schedule", str(sched)]) == 4
         capsys.readouterr()
 
+    def test_non_finite_waypoint(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, [(0.0, 0.0), (4.0, 0.0)], 0)
+        sched = tmp_path / "nan.json"
+        sched.write_text(
+            json.dumps(
+                {
+                    "algorithm": "mec",
+                    "trajectories": [
+                        [[0.0, 0.0, 0.0], [math.nan, 1.0, 0.0]],
+                        [[0.0, 4.0, 0.0]],
+                    ],
+                }
+            )
+        )
+        assert main(["eval", "--input", inst, "--schedule", str(sched)]) == 2
+        captured = capsys.readouterr()
+        assert "schedule valid" not in captured.out
+        assert "finite" in captured.err
+
     def test_bad_subset_mask(self, tmp_path, capsys):
         inst = write_instance(tmp_path, LINE3, 1)
         sched = str(tmp_path / "sched.json")
@@ -188,6 +208,19 @@ class TestBenchCommand:
         rows = json.loads((tmp_path / "bench.json").read_text())
         assert len(rows) >= 5
         assert all(r["ok"] for r in rows)
+
+
+class TestPlannerNames:
+    def test_readme_cli_and_table_agree(self, capsys):
+        # The README's planner table, the --alg choices and PLANNERS list
+        # the same algorithms in the same order.
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Planners", 1)[1].split("\n\n", 2)[1]
+        documented = re.findall(r"^\| `([\w-]+)`", table, re.M)
+        with pytest.raises(SystemExit):
+            main(["plan", "--help"])
+        choices = re.search(r"--alg \{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert documented == choices.split(",") == [*PLANNERS, "auto"]
 
 
 def _script_target():

@@ -137,6 +137,20 @@ class TestValidateSchedule:
         )
         assert validate_schedule(inst, sch) != []
 
+    def test_non_finite_waypoint(self):
+        inst = make_instance([(0.0, 0.0), (4.0, 0.0)], 0)
+        nan_t = Waypoint(math.nan, Point2(1.0, 0.0))
+        inf_x = Waypoint(1.0, Point2(math.inf, 0.0))
+        for bad in (nan_t, inf_x):
+            sch = Schedule(
+                algorithm="mec",
+                trajectories=(
+                    (Waypoint(0.0, Point2(0.0, 0.0)), bad),
+                    (Waypoint(0.0, Point2(4.0, 0.0)),),
+                ),
+            )
+            assert validate_schedule(inst, sch) == ["robot 0: non-finite waypoint 1"]
+
 
 class TestGatherTime:
     def test_two_robots_meet_at_midpoint(self):
@@ -286,6 +300,7 @@ class TestJsonFormats:
             {"robots": [[0, 0], [1]], "F": 0},
             {"robots": [[0, 0], [1, 0]], "F": "x"},
             {"robots": "nope", "F": 0},
+            {"robots": [[0, 0], [10**400, 0]], "F": 0},
         ):
             with pytest.raises(ValueError):
                 instance_from_obj(bad)
@@ -313,6 +328,10 @@ class TestJsonFormats:
             {"algorithm": "mec", "trajectories": []},
             {"algorithm": "mec", "trajectories": [[[0, 0]]]},
             {"algorithm": "mec", "trajectories": [[[0, 0, 0]]], "meta": 5},
+            {"algorithm": "mec", "trajectories": [[[math.nan, 0, 0]]]},
+            {"algorithm": "mec", "trajectories": [[[0, math.inf, 0]]]},
+            {"algorithm": "mec", "trajectories": [[[0, 0, -math.inf]]]},
+            {"algorithm": "mec", "trajectories": [[[0, 10**400, 0]]]},
         ):
             with pytest.raises(ValueError):
                 schedule_from_obj(bad)

@@ -35,7 +35,8 @@ from byzgather import (
     triangle_instance,
     validate_schedule,
 )
-from byzgather.planners import _f1_objective
+from byzgather.analysis import BOUND_SLACK
+from byzgather.planners import PLANNERS, _f1_objective
 from byzgather.geom import furthest_voronoi
 from util import EQUILATERAL, LINE3, SQUARE, TRI_202, points_close, random_points
 
@@ -397,8 +398,6 @@ class TestPlanGrid:
             plan_grid(inst, d_eps=0.0)
         with pytest.raises(BadParamsError):
             plan_grid(inst, d_eps=-1.0)
-        with pytest.raises(BadParamsError):
-            plan_grid(inst, max_level=1)  # far apart at level 1
 
     def test_default_d_eps_is_closest_pair_over_64(self):
         pts = [(0.0, 0.0), (3.2, 0.0), (10.0, 0.0)]
@@ -498,6 +497,19 @@ class TestPlanSsi:
                 pos = nxt
             assert all(points_close(p, pos[0], 1e-7) for p in pos)
 
+    def test_closest_pair_violation_raises(self, monkeypatch):
+        # A pair that is not the closest moves robots through each other;
+        # the check must hold under python -O too, so it is not an assert.
+        import byzgather.planners as planners
+
+        def far_pair(pts):
+            return 0, 2, dist(pts[0], pts[2])
+
+        monkeypatch.setattr(planners, "closest_distinct_pair", far_pair)
+        inst = make_instance([(0.0, 0.0), (1.0, 0.0), (10.0, 0.0)], 1)
+        with pytest.raises(DegenerateError):
+            plan_ssi(inst)
+
 
 class TestPlanAuto:
     def test_dispatch_table(self):
@@ -515,10 +527,28 @@ class TestPlanAuto:
         assert alg(10, 5) == "ssi"
         assert alg(50, 43) == "ssi"
         assert alg(50, 44) == "grid"
-        assert alg(5, 0) == "centerpoint"
+        assert alg(5, 0) == "mec"  # optimal, ahead of centerpoint's 2
+        assert alg(2, 0) == "mec"
 
     def test_n100_f60_grid(self):
         rng = random.Random(317)
         pts = random_points(rng, 100)
         sch = plan_auto(make_instance(pts, 60))
         assert sch.algorithm == "grid"
+
+
+class TestPlannerTable:
+    def test_every_applicable_row_is_valid_and_within_bound(self):
+        rng = random.Random(318)
+        for name, row in PLANNERS.items():
+            for n in range(3, 9):
+                for f in range(n - 1):
+                    if not row.applies(n, f):
+                        continue
+                    inst = make_instance(random_points(rng, n), f)
+                    sch = row.plan(inst)
+                    assert sch.algorithm == name
+                    assert validate_schedule(inst, sch) == []
+                    rep = overall_cr(inst, sch)
+                    assert rep.bound is not None, (name, n, f)
+                    assert rep.overall_cr <= rep.bound + BOUND_SLACK, (name, n, f)

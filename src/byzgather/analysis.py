@@ -9,6 +9,7 @@ achievability certificate, an exhaustive-search oracle for the F = 1
 optimal target, and a benchmark table over all planners.
 """
 
+import functools
 import math
 import random
 from typing import NamedTuple, Optional, Sequence
@@ -19,15 +20,11 @@ from .errors import (
     BadParamsError,
     DegenerateRatioError,
     SubsetNeverGathersError,
-    TooSmallError,
 )
-from .geom import (
-    EPS_GEO,
-    Point2,
-    closest_distinct_pair,  # unused here; the benchmark's layer tracer patches it
-    dist,
+from .geom import EPS_GEO, Point2, support_set
+from .geom import (  # unused here; the benchmark's layer tracer patches them
+    closest_distinct_pair,
     minidisk,
-    support_set,
 )
 from .model import (
     EPS_MEET,
@@ -38,7 +35,8 @@ from .model import (
     make_instance,
     optimal_gather_time,
 )
-from .planners import PLANNERS, subset_radius_order
+from .planners import PLANNERS, SQRT2, f1_setup
+from .planners import subset_radius_order  # unused here; the benchmark's layer tracer patches it
 
 # Acceptance slack when comparing a measured ratio against a proven bound.
 BOUND_SLACK = 1e-6
@@ -91,10 +89,14 @@ def bound_for_report(
     """Proven worst-case ratio for the schedule's planner, if one exists.
 
     Looks the schedule's algorithm up in PLANNERS; returns None for an
-    unknown algorithm or where the row's bound does not apply.
+    unknown algorithm, outside the row's budget (so a relabelled schedule
+    gets no bound its instance does not earn), or where the row's bound
+    does not apply.
     """
     row = PLANNERS.get(schedule.algorithm)
-    return None if row is None else row.bound(instance, schedule, argmax_mask)
+    if row is None or not row.applies(instance.n, instance.f):
+        return None
+    return row.bound(instance, schedule, argmax_mask)
 
 
 def overall_cr(
@@ -149,12 +151,7 @@ def lower_bound_f1(instance: Instance) -> float:
     second-smallest leave-one-out radius. Returns inf when r_1 is zero
     (all but one robot coincident): the bound degenerates.
     """
-    order = subset_radius_order(instance)
-    r1 = order[1][1]
-    rs = minidisk(instance.robots).radius
-    if r1 <= 0.0:
-        return math.inf
-    return rs / r1
+    return f1_setup(instance).lower_bound
 
 
 class LbCertificate(NamedTuple):
@@ -183,27 +180,18 @@ def check_lb_achievable(instance: Instance) -> LbCertificate:
     cheapest leave-one-out subset. The segment-disks intersection test is
     exact (quadratic parameter intervals).
     """
-    if instance.n < 3:
-        raise TooSmallError("certificate needs at least 3 robots")
+    s = f1_setup(instance)
     robots = instance.robots
-    mec = minidisk(robots)
-    sup = support_set(robots, mec)
-    order = subset_radius_order(instance)
-    omit0, r0 = order[0]
-    r1 = order[1][1]
-    rs = mec.radius
-    lb = math.inf if r1 <= 0.0 else rs / r1
-    if len(sup) != 2 or r1 <= 0.0:
-        q = 0.0 if r1 <= 0.0 else r0 * rs / r1
-        return LbCertificate(False, q, False, sup, lb)
-    q = r0 * rs / r1
-    s0 = [p for j, p in enumerate(robots) if j != omit0]
+    sup = support_set(robots, s.mec)
+    q = 0.0 if s.r1 <= 0.0 else s.r0 * s.mec.radius / s.r1
+    if len(sup) != 2 or s.r1 <= 0.0:
+        return LbCertificate(False, q, False, sup, s.lower_bound)
     a_pt, c_pt = robots[sup[0]], robots[sup[1]]
     dx, dy = c_pt.x - a_pt.x, c_pt.y - a_pt.y
     qa = dx * dx + dy * dy
     lo, hi = 0.0, 1.0
     intersects = True
-    for p in s0:
+    for p in s.s0:
         ex, ey = a_pt.x - p.x, a_pt.y - p.y
         qb = 2.0 * (ex * dx + ey * dy)
         qc = ex * ex + ey * ey - q * q
@@ -222,7 +210,7 @@ def check_lb_achievable(instance: Instance) -> LbCertificate:
         if lo > hi:
             intersects = False
             break
-    return LbCertificate(True, q, intersects, sup, lb)
+    return LbCertificate(True, q, intersects, sup, s.lower_bound)
 
 
 class OracleResult(NamedTuple):
@@ -230,110 +218,51 @@ class OracleResult(NamedTuple):
     cr: float
 
 
+# Offsets of a cell's four children, in units of the children's half-side.
+_CHILD_X = np.array([-1.0, -1.0, 1.0, 1.0])
+_CHILD_Y = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
 def oracle_opt_point(instance: Instance, resolution: Optional[float] = None) -> OracleResult:
     """Exhaustive-search reference for the F = 1 optimal target.
 
-    Sweeps a square lattice over the candidate disk, coarse-to-fine down
-    to the requested resolution (default r_S / 1000), then refines
-    locally three more decades. Lattice points are pruned only by true
-    lower bounds on the objective, so the result cr satisfies
+    Breadth-first cell subdivision (Piyavskii 1972, Shubert 1972) of the
+    single-target objective, which is (1/r_0)-Lipschitz because r_0 <= r_1.
+    At distance s from K0 the objective is at least sqrt(s^2 + r_0^2) / r_0,
+    so every point better than K0 lies in the first square. A cell is
+    dropped when its center value minus (half-diagonal) / r_0 exceeds the
+    best value so far, which no point in it can then beat; the others are
+    split in four until the half-diagonal is at most resolution (default
+    r_S / 1000). The optimum's cell is never dropped, so the result cr
+    satisfies
 
         true optimum <= cr <= true optimum + resolution * (1/r_0 + 1/r_1).
     """
-    if instance.n < 3:
-        raise TooSmallError("oracle needs at least 3 robots")
-    order = subset_radius_order(instance)
-    omit0, r0 = order[0]
-    r1 = order[1][1]
-    robots = instance.robots
-    c_pt = robots[omit0]
-    s0 = [p for j, p in enumerate(robots) if j != omit0]
-    rs = minidisk(robots).radius
-
-    if r0 <= EPS_GEO:
-        d_pt = minidisk(s0).center
-        if r1 <= EPS_GEO:
-            return OracleResult(d_pt, 1.0)
-        far = max(dist(d_pt, p) for p in s0)
-        return OracleResult(d_pt, (far + dist(d_pt, c_pt)) / (2.0 * r1))
-
+    s = f1_setup(instance)
+    best_pt, best = s.start()
+    if s.r0 <= EPS_GEO:
+        return OracleResult(best_pt, best)
     if resolution is None:
-        resolution = 1e-3 * rs
+        resolution = 1e-3 * s.mec.radius
     if not (resolution > 0.0 and math.isfinite(resolution)):
         raise BadParamsError("resolution must be a positive finite number")
 
-    sx = np.array([p.x for p in s0])
-    sy = np.array([p.y for p in s0])
-    cx, cy = c_pt
-
-    def objective_scalar(p: Point2) -> float:
-        far = max(dist(p, s) for s in s0)
-        return max(far / r0, (far + dist(p, c_pt)) / (2.0 * r1))
-
-    def objective_grid(xs, ys):
-        far = np.hypot(xs - sx[0], ys - sy[0])
-        for px, py in zip(sx[1:], sy[1:]):
-            np.maximum(far, np.hypot(xs - px, ys - py), out=far)
-        cd = np.hypot(xs - cx, ys - cy)
-        return np.maximum(far / r0, (far + cd) / (2.0 * r1))
-
-    k0 = minidisk(s0).center
-    best_pt = k0
-    best_val = objective_scalar(k0)
-    clamp = r0 * best_val + rs
-
-    ladder = [resolution]
-    step = resolution * 16.0
-    while step < rs / 4.0:
-        ladder.append(step)
-        step *= 16.0
-    ladder.reverse()
-
-    for res in ladder:
-        inflate = best_val * (1.0 + 1e-12) + 1e-15
-        extent = min(clamp, r0 * math.sqrt(max(inflate * inflate - 1.0, 0.0)))
-        m = int(math.ceil(extent / res))
-        offs = np.arange(-m, m + 1, dtype=np.float64) * res
-        xs_row = k0.x + offs
-        for lo in range(0, offs.size, 512):
-            ys_col = (k0.y + offs[lo : lo + 512])[:, None]
-            # True lower bound 1: objective >= sqrt(s^2 + r0^2) / r0 at
-            # distance s from the small circle's center, so points with
-            # s^2 beyond the current best cannot win.
-            inflate = best_val * (1.0 + 1e-12) + 1e-15
-            rho2 = r0 * r0 * max(inflate * inflate - 1.0, 0.0)
-            s2 = (xs_row - k0.x) ** 2 + (ys_col - k0.y) ** 2
-            keep = s2 <= rho2
-            if not keep.any():
-                continue
-            xk = np.broadcast_to(xs_row, s2.shape)[keep]
-            yk = np.broadcast_to(ys_col, s2.shape)[keep]
-            g1 = np.sqrt(s2[keep] + r0 * r0)
-            # True lower bound 2: (sqrt(s^2 + r0^2) + |CD|) / (2 r1).
-            g2 = (g1 + np.hypot(xk - cx, yk - cy)) / (2.0 * r1)
-            keep2 = g2 <= inflate
-            if not keep2.any():
-                continue
-            vals = objective_grid(xk[keep2], yk[keep2])
-            i = int(np.argmin(vals))
-            if vals[i] < best_val:
-                best_val = float(vals[i])
-                best_pt = Point2(float(xk[keep2][i]), float(yk[keep2][i]))
-
-    res_fine = resolution
-    for _ in range(3):
-        res_fine /= 10.0
-        offs = np.arange(-15, 16, dtype=np.float64) * res_fine
-        xs = best_pt.x + offs
-        ys = (best_pt.y + offs)[:, None]
-        vals = objective_grid(xs, ys)
+    half = s.r0 * math.sqrt(max(best * best - 1.0, 0.0))
+    xs, ys = np.array([best_pt.x]), np.array([best_pt.y])
+    while True:
+        far = functools.reduce(np.maximum, (np.hypot(xs - p.x, ys - p.y) for p in s.s0))
+        vals = np.maximum(
+            far / s.r0, (far + np.hypot(xs - s.c_pt.x, ys - s.c_pt.y)) / (2.0 * s.r1)
+        )
         i = int(np.argmin(vals))
-        iy, ix = divmod(i, offs.size)
-        if vals[iy, ix] < best_val:
-            best_val = float(vals[iy, ix])
-            best_pt = Point2(float(xs[ix]), float(ys[iy, 0]))
-
-    return OracleResult(best_pt, best_val)
+        if vals[i] < best:
+            best_pt, best = Point2(float(xs[i]), float(ys[i])), float(vals[i])
+        if half * SQRT2 <= resolution:
+            return OracleResult(best_pt, best)
+        keep = vals - half * SQRT2 / s.r0 <= best * (1.0 + 1e-12) + 1e-15
+        half /= 2.0
+        xs = (xs[keep][:, None] + half * _CHILD_X).ravel()
+        ys = (ys[keep][:, None] + half * _CHILD_Y).ravel()
 
 
 class BenchRow(NamedTuple):

@@ -223,7 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive-search F=1 target reference")
     p.add_argument("--input", required=True, help="instance JSON path")
-    p.add_argument("--resolution", type=float, help="lattice spacing (default r_S/1000)")
+    p.add_argument(
+        "--resolution", type=float, help="finest cell half-diagonal (default r_S/1000)"
+    )
     p.add_argument("--output", help="result JSON path")
     p.set_defaults(func=cmd_oracle)
 

@@ -143,17 +143,16 @@ class ScheduleTimeline:
     a couple of mask operations per candidate.
     """
 
-    def __init__(self, schedule: Schedule, eps: float = EPS_MEET):
+    def __init__(self, schedule: Schedule):
         trajs = schedule.trajectories
         if not trajs:
             raise EmptySetError("schedule has no trajectories")
         self.n = len(trajs)
-        self.eps = eps
         events = sorted({wp.t for tr in trajs for wp in tr})
         if not events:
             events = [0.0]
         cands = set(events)
-        eps2 = eps * eps
+        eps2 = EPS_MEET * EPS_MEET
         for a in range(len(events) - 1):
             t0, t1 = events[a], events[a + 1]
             span = t1 - t0
@@ -186,7 +185,7 @@ class ScheduleTimeline:
             for i in range(m):
                 row = 0
                 for j in range(m):
-                    if dist(pos[i], pos[j]) <= eps:
+                    if dist(pos[i], pos[j]) <= EPS_MEET:
                         row |= 1 << j
                 bits |= row << (i * m)
             self.pair_masks.append(bits)

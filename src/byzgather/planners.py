@@ -34,6 +34,7 @@ from .errors import (
 )
 from .geom import (
     EPS_GEO,
+    Circle,
     Point2,
     closest_distinct_pair,
     centerpoint,
@@ -118,43 +119,30 @@ def plan_single_point(instance: Instance, point, algorithm: str = "single-point"
             "more than one robot beyond the (n-1)-th arrival time"
         )
     meta = {"D": [d_pt.x, d_pt.y], "t1": t1}
-
-    if not laggards:
-        trajs = []
-        for p, d in zip(robots, dists):
-            wp = [Waypoint(0.0, Point2(*p))]
+    lag = laggards[0] if laggards else -1
+    if laggards:
+        p_lag, d_lag = robots[lag], dists[lag]
+        # Laggard's position at t1 along its straight run to D.
+        q = Point2(
+            p_lag.x + t1 * (d_pt.x - p_lag.x) / d_lag,
+            p_lag.y + t1 * (d_pt.y - p_lag.y) / d_lag,
+        )
+        d_prime = midpoint(q, d_pt)
+        horizon = t1 + dist(d_pt, d_prime)
+        meta["D_prime"] = [d_prime.x, d_prime.y]
+    trajs = []
+    for i, (p, d) in enumerate(zip(robots, dists)):
+        wp = [Waypoint(0.0, Point2(*p))]
+        if i == lag:
+            wp.append(Waypoint(t1, q))
+        else:
             if d > 0.0:
                 wp.append(Waypoint(d, d_pt))
             if t1 > wp[-1].t:
                 wp.append(Waypoint(t1, d_pt))
-            trajs.append(wp)
-        return Schedule(algorithm, trajs, meta)
-
-    lag = laggards[0]
-    p_lag = robots[lag]
-    d_lag = dists[lag]
-    # Laggard's position at t1 along its straight run to D.
-    q = Point2(
-        p_lag.x + t1 * (d_pt.x - p_lag.x) / d_lag,
-        p_lag.y + t1 * (d_pt.y - p_lag.y) / d_lag,
-    )
-    d_prime = midpoint(q, d_pt)
-    horizon = t1 + dist(d_pt, d_prime)
-    trajs = []
-    for i, (p, d) in enumerate(zip(robots, dists)):
-        if i == lag:
-            trajs.append(
-                [Waypoint(0.0, Point2(*p)), Waypoint(t1, q), Waypoint(horizon, d_prime)]
-            )
-            continue
-        wp = [Waypoint(0.0, Point2(*p))]
-        if d > 0.0:
-            wp.append(Waypoint(d, d_pt))
-        if t1 > wp[-1].t:
-            wp.append(Waypoint(t1, d_pt))
-        wp.append(Waypoint(horizon, d_prime))
+        if laggards:
+            wp.append(Waypoint(horizon, d_prime))
         trajs.append(wp)
-    meta["D_prime"] = [d_prime.x, d_prime.y]
     return Schedule(algorithm, trajs, meta)
 
 
@@ -173,6 +161,50 @@ def _f1_objective(s0: Sequence[Point2], c_pt: Point2, r0: float, r1: float):
         return max(far / r0, (far + dist(d_pt, c_pt)) / (2.0 * r1))
 
     return objective
+
+
+class F1Setup(NamedTuple):
+    """What the F = 1 analysis of an instance starts from.
+
+    S0 (s0) is the cheapest leave-one-out subset, with radius r0; c_pt is
+    its omitted robot C, r1 the second-smallest leave-one-out radius and
+    mec the full enclosing circle, of radius r_S.
+    """
+
+    omitted: int
+    c_pt: Point2
+    s0: list
+    r0: float
+    r1: float
+    mec: Circle
+
+    @property
+    def lower_bound(self) -> float:
+        """r_S / r_1, or inf when r_1 is zero (the bound degenerates)."""
+        return math.inf if self.r1 <= 0.0 else self.mec.radius / self.r1
+
+    def start(self) -> tuple[Point2, float]:
+        """K0, the center of S0's circle, and the ratio of a plan targeting it.
+
+        When r0 <= EPS_GEO, S0 is a single location and K0 is the optimum:
+        its ratio is that of meeting C halfway from there.
+        """
+        k0 = minidisk(self.s0).center
+        if self.r0 > EPS_GEO:
+            return k0, _f1_objective(self.s0, self.c_pt, self.r0, self.r1)(k0)
+        if self.r1 <= EPS_GEO:
+            return k0, 1.0
+        far = max(dist(k0, p) for p in self.s0)
+        return k0, (far + dist(k0, self.c_pt)) / (2.0 * self.r1)
+
+
+def f1_setup(instance: Instance) -> F1Setup:
+    """The F1Setup of an instance; raises TooSmallError below 3 robots."""
+    order = subset_radius_order(instance)
+    omit0, r0 = order[0]
+    robots = instance.robots
+    s0 = [p for j, p in enumerate(robots) if j != omit0]
+    return F1Setup(omit0, robots[omit0], s0, r0, order[1][1], minidisk(robots))
 
 
 def _min_on_segment(objective, seg, tol: float = 1e-12) -> tuple[Point2, float]:
@@ -219,34 +251,16 @@ def opt_point_f1(instance: Instance) -> OptPointResult:
     an edge of the furthest-point Voronoi diagram of S0. All candidates
     are searched; ties keep the first found.
     """
-    if instance.n < 3:
-        raise TooSmallError("optimal F=1 target needs at least 3 robots")
-    order = subset_radius_order(instance)
-    omit0, r0 = order[0]
-    r1 = order[1][1]
-    r0_tie = abs(r1 - r0) <= EPS_GEO
-    robots = instance.robots
-    c_pt = robots[omit0]
-    s0 = [p for j, p in enumerate(robots) if j != omit0]
-
-    if r0 <= EPS_GEO:
-        # S0 is a single location: meet C halfway from there.
-        d_pt = minidisk(s0).center
-        if r1 <= EPS_GEO:
-            return OptPointResult(d_pt, 1.0, omit0, r0, r1, r0_tie)
-        far = max(dist(d_pt, p) for p in s0)
-        pred = (far + dist(d_pt, c_pt)) / (2.0 * r1)
-        return OptPointResult(d_pt, pred, omit0, r0, r1, r0_tie)
-
-    objective = _f1_objective(s0, c_pt, r0, r1)
-    k0 = minidisk(s0).center
-    best_pt, best_val = k0, objective(k0)
-    clamp = r0 * best_val + minidisk(robots).radius
-    for edge in furthest_voronoi(s0, clamp):
-        cand_pt, cand_val = _min_on_segment(objective, edge.seg)
-        if cand_val < best_val:
-            best_pt, best_val = cand_pt, cand_val
-    return OptPointResult(best_pt, best_val, omit0, r0, r1, r0_tie)
+    s = f1_setup(instance)
+    best_pt, best_val = s.start()
+    if s.r0 > EPS_GEO:
+        objective = _f1_objective(s.s0, s.c_pt, s.r0, s.r1)
+        for edge in furthest_voronoi(s.s0, s.r0 * best_val + s.mec.radius):
+            cand_pt, cand_val = _min_on_segment(objective, edge.seg)
+            if cand_val < best_val:
+                best_pt, best_val = cand_pt, cand_val
+    r0_tie = abs(s.r1 - s.r0) <= EPS_GEO
+    return OptPointResult(best_pt, best_val, s.omitted, s.r0, s.r1, r0_tie)
 
 
 def plan_opt_f1(instance: Instance) -> Schedule:
@@ -281,10 +295,8 @@ class TriangleInstance(NamedTuple):
     b: float
     c: float
     tan_beta: float
-    sin_gamma: float
     tan_phi: float
     lb_case: bool
-    area: float
 
 
 def triangle_instance(p0, p1, p2) -> TriangleInstance:
@@ -308,15 +320,12 @@ def triangle_instance(p0, p1, p2) -> TriangleInstance:
             max((b + a) * (b + a) - c * c, 0.0)
         )
         tan_phi = num / den
-    return TriangleInstance(
-        a_pt, b_pt, c_pt, a, b, c, tan_beta, sin_gamma, tan_phi, lb_case, area
-    )
+    return TriangleInstance(a_pt, b_pt, c_pt, a, b, c, tan_beta, tan_phi, lb_case)
 
 
 class TriOptResult(NamedTuple):
     point: Point2
     predicted_cr: float
-    tri: TriangleInstance
 
 
 def tri_opt_point(tri: TriangleInstance) -> TriOptResult:
@@ -334,7 +343,7 @@ def tri_opt_point(tri: TriangleInstance) -> TriOptResult:
     h = (tri.a / 2.0) * tri.tan_phi
     d_pt = Point2(mid.x + h * ux, mid.y + h * uy)
     cr = tri.c / tri.b if tri.lb_case else math.sqrt(1.0 + tri.tan_phi * tri.tan_phi)
-    return TriOptResult(d_pt, cr, tri)
+    return TriOptResult(d_pt, cr)
 
 
 def plan_tri(instance: Instance) -> Schedule:
@@ -490,11 +499,13 @@ def plan_auto(instance: Instance) -> Schedule:
 class Planner(NamedTuple):
     """One row of PLANNERS.
 
-    applies(n, F) holds at the budgets where plan_auto may pick the row.
-    bound(instance, schedule, worst_mask) is the planner's proven ratio
-    for a schedule whose worst subset is worst_mask, or None where none
-    applies. label
-    and bound_desc name the regime and the bound in the bench table.
+    applies(n, F) holds at the budgets where plan_auto may pick the row
+    and where its bound is proven. bound(instance, schedule, worst_mask)
+    is the planner's proven ratio for a schedule whose worst subset is
+    worst_mask, or None where none applies; bound_for_report asks it only
+    where applies holds, so a schedule relabelled with another planner's
+    name gets no bound outside that planner's budget. label and
+    bound_desc name the regime and the bound in the bench table.
     """
 
     plan: Callable[[Instance], Schedule]
@@ -528,8 +539,7 @@ def _grid_bound(instance: Instance, schedule: Schedule, mask: int) -> Optional[f
 # F <= floor(32*sqrt(2)) - 2 = 43.
 PLANNERS: dict[str, Planner] = {
     "mec": Planner(
-        plan_mec, lambda n, f: f == 0,
-        lambda inst, sched, mask: 1.0 if inst.f == 0 else None,
+        plan_mec, lambda n, f: f == 0, lambda inst, sched, mask: 1.0,
         "F = 0 (enclosing circle)", "1",
     ),
     "opt-f1": Planner(

@@ -168,6 +168,20 @@ class TestBoundForReport:
         sch = plan_grid(inst)
         assert bound_for_report(inst, sch, 0b011) is None
 
+    def test_relabelled_schedule_outside_budget_gets_no_bound(self):
+        # hamsandwich needs F < ceil(6/2) = 3; opt-f1 needs F = 1. Neither
+        # label earns its bound for an ssi schedule outside that budget.
+        inst = make_instance(random_points(random.Random(403), 6), 4)
+        sch = plan_ssi(inst)
+        ham = Schedule("hamsandwich", sch.trajectories, sch.meta)
+        assert bound_for_report(inst, ham, 0b111111) is None
+        rep = overall_cr(inst, ham)
+        assert rep.bound is None and rep.bound_satisfied is None
+        inst2 = make_instance(random_points(random.Random(405), 6), 2)
+        opt = Schedule("opt-f1", plan_ssi(inst2).trajectories, {"predicted_cr": 99.0})
+        assert bound_for_report(inst2, opt, 0b111111) is None
+        assert overall_cr(inst2, opt).bound is None
+
     def test_bounds_hold_on_reports(self):
         rng = random.Random(404)
         for planner in (plan_opt_f1, plan_centerpoint, plan_ssi):

@@ -8,6 +8,8 @@ logic with the implementation.
 import math
 import random
 
+import numpy as np
+
 from byzgather import Point2
 
 
@@ -118,3 +120,31 @@ SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 def as_points(coords):
     return [Point2(x, y) for x, y in coords]
+
+
+def brute_f1_min(points, steps: int = 200):
+    """Lattice minimum of the F = 1 single-target objective.
+
+    S0 is the cheapest leave-one-out subset (radii by brute_mec, ties by
+    omitted index), r0 its radius, C the omitted robot and r1 the
+    second-smallest leave-one-out radius. A plan targeting D has worst
+    ratio max(far / r0, (far + |CD|) / (2 r1)), with far the largest
+    distance from D to S0. The minimum lies in the robots' bounding box:
+    clamping D into the box moves it no farther from any robot. The box
+    is sampled at (steps + 1)^2 lattice points. Returns (value, r0, r1).
+    """
+    pts = [(float(x), float(y)) for x, y in points]
+    radii = sorted(
+        (brute_mec(pts[:i] + pts[i + 1 :])[2], i) for i in range(len(pts))
+    )
+    (r0, omit), (r1, _) = radii[0], radii[1]
+    s0 = pts[:omit] + pts[omit + 1 :]
+    cx, cy = pts[omit]
+    xs = np.linspace(min(x for x, _ in pts), max(x for x, _ in pts), steps + 1)
+    ys = np.linspace(min(y for _, y in pts), max(y for _, y in pts), steps + 1)
+    gx, gy = np.meshgrid(xs, ys)
+    far = np.zeros_like(gx)
+    for x, y in s0:
+        far = np.maximum(far, np.hypot(gx - x, gy - y))
+    vals = np.maximum(far / r0, (far + np.hypot(gx - cx, gy - cy)) / (2.0 * r1))
+    return float(vals.min()), r0, r1

@@ -4,60 +4,26 @@ Planners compute trajectory schedules that gather every large-enough
 subset of robots; the analysis side simulates schedules exactly and
 measures worst-case competitive ratios against the offline optimum (the
 radius of a subset's minimum enclosing circle) over all candidate
-reliable subsets.
+reliable subsets. The root holds the documented API; everything else is
+imported from its submodule (geom, model, planners, analysis, render,
+errors).
 """
 
-from .errors import (
-    AllCoincidentError,
-    AmbiguousLaggardError,
-    BadParamsError,
-    BudgetTooLargeError,
-    DegenerateError,
-    DegenerateRatioError,
-    EmptySetError,
-    GatheringError,
-    SubsetNeverGathersError,
-    TooLargeError,
-    TooSmallError,
-    WrongBudgetError,
-)
-from .geom import (
-    EPS_GEO,
-    Circle,
-    FvdEdge,
-    LineSeg,
-    Point2,
-    centerpoint,
-    closest_distinct_pair,
-    dist,
-    furthest_voronoi,
-    median_line_pair,
-    midpoint,
-    minidisk,
-    support_set,
-)
+from .errors import GatheringError
 from .model import (
-    EPS_MEET,
     Instance,
     Schedule,
-    ScheduleTimeline,
     Waypoint,
     dumps,
-    enumerate_reliable_subsets,
-    gather_time,
     instance_from_obj,
     instance_to_obj,
     make_instance,
-    optimal_gather_time,
-    position_at,
     schedule_from_obj,
     schedule_to_obj,
     validate_schedule,
 )
 from .planners import (
-    OptPointResult,
-    TriangleInstance,
-    TriOptResult,
+    PLANNERS,
     opt_point_f1,
     plan_auto,
     plan_centerpoint,
@@ -65,102 +31,15 @@ from .planners import (
     plan_hamsandwich,
     plan_mec,
     plan_opt_f1,
-    plan_single_point,
     plan_ssi,
     plan_tri,
-    subset_radius_order,
-    tri_opt_point,
-    triangle_instance,
 )
 from .analysis import (
-    AdversaryReport,
-    BenchRow,
-    GatherReport,
-    LbCertificate,
-    OracleResult,
-    bench_table,
-    bound_for_report,
     check_lb_achievable,
-    competitive_ratio,
     lower_bound_f1,
     oracle_opt_point,
     overall_cr,
     report_to_obj,
 )
-from .render import render_svg
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AdversaryReport",
-    "AllCoincidentError",
-    "AmbiguousLaggardError",
-    "BadParamsError",
-    "BenchRow",
-    "BudgetTooLargeError",
-    "Circle",
-    "DegenerateError",
-    "DegenerateRatioError",
-    "EmptySetError",
-    "EPS_GEO",
-    "EPS_MEET",
-    "FvdEdge",
-    "GatherReport",
-    "GatheringError",
-    "Instance",
-    "LbCertificate",
-    "LineSeg",
-    "OptPointResult",
-    "OracleResult",
-    "Point2",
-    "Schedule",
-    "ScheduleTimeline",
-    "SubsetNeverGathersError",
-    "TooLargeError",
-    "TooSmallError",
-    "TriangleInstance",
-    "TriOptResult",
-    "Waypoint",
-    "WrongBudgetError",
-    "bench_table",
-    "bound_for_report",
-    "centerpoint",
-    "check_lb_achievable",
-    "closest_distinct_pair",
-    "competitive_ratio",
-    "dist",
-    "dumps",
-    "enumerate_reliable_subsets",
-    "furthest_voronoi",
-    "gather_time",
-    "instance_from_obj",
-    "instance_to_obj",
-    "lower_bound_f1",
-    "make_instance",
-    "median_line_pair",
-    "midpoint",
-    "minidisk",
-    "opt_point_f1",
-    "optimal_gather_time",
-    "oracle_opt_point",
-    "overall_cr",
-    "plan_auto",
-    "plan_centerpoint",
-    "plan_grid",
-    "plan_hamsandwich",
-    "plan_mec",
-    "plan_opt_f1",
-    "plan_single_point",
-    "plan_ssi",
-    "plan_tri",
-    "position_at",
-    "render_svg",
-    "report_to_obj",
-    "schedule_from_obj",
-    "schedule_to_obj",
-    "subset_radius_order",
-    "support_set",
-    "tri_opt_point",
-    "triangle_instance",
-    "validate_schedule",
-]

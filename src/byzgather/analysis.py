@@ -58,31 +58,6 @@ class AdversaryReport(NamedTuple):
     subsets: list
 
 
-def competitive_ratio(
-    instance: Instance,
-    schedule: Schedule,
-    subset: int,
-    timeline: Optional[ScheduleTimeline] = None,
-) -> GatherReport:
-    """Gather time, offline optimum, and their ratio for one subset.
-
-    A subset whose optimum is zero (coincident robots) has ratio 1 when it
-    is gathered immediately; otherwise the ratio is undefined and raises.
-    """
-    tl = timeline if timeline is not None else ScheduleTimeline(schedule)
-    g = tl.gather_time(subset)
-    if g is None:
-        raise SubsetNeverGathersError(f"subset {subset:#x} never gathers")
-    opt = optimal_gather_time(instance, subset)
-    if opt == 0.0:
-        if g <= EPS_MEET:
-            return GatherReport(subset, g, opt, 1.0)
-        raise DegenerateRatioError(
-            f"subset {subset:#x} starts gathered but meets only at t={g!r}"
-        )
-    return GatherReport(subset, g, opt, g / opt)
-
-
 def bound_for_report(
     instance: Instance, schedule: Schedule, argmax_mask: int
 ) -> Optional[float]:
@@ -106,23 +81,36 @@ def overall_cr(
 ) -> AdversaryReport:
     """Worst competitive ratio over candidate reliable subsets.
 
-    masks defaults to every subset of size at least max(2, n - F). The
-    reported argmax is the first subset (in the given order) attaining
-    the maximum.
+    masks defaults to every subset of size at least max(2, n - F). Each
+    subset's row holds its gather time, its offline optimum and their
+    ratio. A subset whose optimum is zero (coincident robots) has ratio 1
+    when it is gathered immediately; a later meeting raises
+    DegenerateRatioError, and a subset that never gathers raises
+    SubsetNeverGathersError. The reported argmax is the first subset (in
+    the given order) attaining the maximum.
     """
     if masks is None:
         masks = enumerate_reliable_subsets(instance)
     tl = ScheduleTimeline(schedule)
-    rows = [competitive_ratio(instance, schedule, m, tl) for m in masks]
-    best = 0
-    for i in range(1, len(rows)):
-        if rows[i].cr > rows[best].cr:
-            best = i
-    overall = rows[best].cr
-    argmax = rows[best].mask
-    bound = bound_for_report(instance, schedule, argmax)
-    satisfied = None if bound is None else bool(overall <= bound + BOUND_SLACK)
-    return AdversaryReport(schedule.algorithm, overall, argmax, bound, satisfied, rows)
+    rows = []
+    for mask in masks:
+        g = tl.gather_time(mask)
+        if g is None:
+            raise SubsetNeverGathersError(f"subset {mask:#x} never gathers")
+        opt = optimal_gather_time(instance, mask)
+        if opt != 0.0:
+            cr = g / opt
+        elif g <= EPS_MEET:
+            cr = 1.0
+        else:
+            raise DegenerateRatioError(
+                f"subset {mask:#x} starts gathered but meets only at t={g!r}"
+            )
+        rows.append(GatherReport(mask, g, opt, cr))
+    worst = max(rows, key=lambda row: row.cr)
+    bound = bound_for_report(instance, schedule, worst.mask)
+    satisfied = None if bound is None else bool(worst.cr <= bound + BOUND_SLACK)
+    return AdversaryReport(schedule.algorithm, worst.cr, worst.mask, bound, satisfied, rows)
 
 
 def report_to_obj(report: AdversaryReport) -> dict:
@@ -159,9 +147,8 @@ class LbCertificate(NamedTuple):
 
     Applies when the full enclosing circle has exactly two support
     points. q is the working radius r_0 * r_S / r_1; intersects reports
-    whether the segment between the two support points meets the
-    intersection of the disks of radius q around the cheapest
-    leave-one-out subset (computed exactly).
+    whether the segment between the two support points holds a target
+    that attains the bound (computed exactly).
     """
 
     applicable: bool
@@ -175,10 +162,13 @@ def check_lb_achievable(instance: Instance) -> LbCertificate:
     """Certificate that the F = 1 lower bound is (or is not known) tight.
 
     When the full enclosing circle rests on exactly two robots A and C,
-    the bound r_S / r_1 is attained by some single-target plan if the
-    segment AC meets every disk of radius q = r_0 * r_S / r_1 around the
-    cheapest leave-one-out subset. The segment-disks intersection test is
-    exact (quadratic parameter intervals).
+    with A in the cheapest leave-one-out subset S0, a single-target plan
+    attains r_S / r_1 if its target D lies on segment AC, within
+    q = r_0 * r_S / r_1 of every robot of S0 (the ratio's first term) and
+    no farther from any of them than from A (its second term, as
+    |AD| + |DC| = 2 r_S). If C is in S0 too, r_0 = r_1 = r_S and D is the
+    circle's center. Both tests are exact: each robot of S0 bounds D's
+    segment parameter by a quadratic and a linear inequality.
     """
     s = f1_setup(instance)
     robots = instance.robots
@@ -186,15 +176,25 @@ def check_lb_achievable(instance: Instance) -> LbCertificate:
     q = 0.0 if s.r1 <= 0.0 else s.r0 * s.mec.radius / s.r1
     if len(sup) != 2 or s.r1 <= 0.0:
         return LbCertificate(False, q, False, sup, s.lower_bound)
-    a_pt, c_pt = robots[sup[0]], robots[sup[1]]
+    ia, ic = sup if sup[0] != s.omitted else sup[::-1]
+    a_pt, c_pt = robots[ia], robots[ic]
     dx, dy = c_pt.x - a_pt.x, c_pt.y - a_pt.y
     qa = dx * dx + dy * dy
     lo, hi = 0.0, 1.0
     intersects = True
     for p in s.s0:
         ex, ey = a_pt.x - p.x, a_pt.y - p.y
+        ee = ex * ex + ey * ey
         qb = 2.0 * (ex * dx + ey * dy)
-        qc = ex * ex + ey * ey - q * q
+        qc = ee - q * q
+        # |PD| <= |AD| at D = A + u (C - A) reads qb * u + |A - P|^2 <= 0.
+        if qb > 0.0:
+            hi = min(hi, -ee / qb)
+        elif qb < 0.0:
+            lo = max(lo, -ee / qb)
+        elif ee > 0.0:
+            intersects = False
+            break
         if qa <= 0.0:
             if qc > 0.0:
                 intersects = False
@@ -275,8 +275,9 @@ class BenchRow(NamedTuple):
     ok: bool
 
 
-def _random_instance(rng: random.Random, n: int, f: int, box: float = 100.0) -> Instance:
-    pts = [(rng.uniform(0.0, box), rng.uniform(0.0, box)) for _ in range(n)]
+def _random_instance(rng: random.Random, n: int, f: int) -> Instance:
+    """n robots drawn uniformly from the 100 x 100 box."""
+    pts = [(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n)]
     return make_instance(pts, f)
 
 

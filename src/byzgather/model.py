@@ -209,11 +209,6 @@ class ScheduleTimeline:
         return None
 
 
-def gather_time(schedule: Schedule, subset: int) -> Optional[float]:
-    """Earliest time the subset's robots are pairwise within EPS_MEET."""
-    return ScheduleTimeline(schedule).gather_time(subset)
-
-
 def optimal_gather_time(instance: Instance, subset: int) -> float:
     """Offline optimum for the subset: radius of its minimum enclosing circle."""
     if subset <= 0:

@@ -57,7 +57,7 @@ def _ceil_half(n: int) -> int:
     return -(-n // 2)
 
 
-def _straight_to(points: Sequence[Point2], target, algorithm: str, meta=None) -> Schedule:
+def _straight_to(points: Sequence[Point2], target, algorithm: str, meta: dict) -> Schedule:
     """All robots head straight to target; early arrivals wait for the last."""
     tgt = Point2(float(target[0]), float(target[1]))
     dists = [dist(p, tgt) for p in points]
@@ -70,7 +70,7 @@ def _straight_to(points: Sequence[Point2], target, algorithm: str, meta=None) ->
         if horizon > wp[-1].t:
             wp.append(Waypoint(horizon, wp[-1].pos))
         trajs.append(wp)
-    return Schedule(algorithm, trajs, meta or {})
+    return Schedule(algorithm, trajs, meta)
 
 
 def plan_mec(instance: Instance) -> Schedule:
@@ -207,10 +207,10 @@ def f1_setup(instance: Instance) -> F1Setup:
     return F1Setup(omit0, robots[omit0], s0, r0, order[1][1], minidisk(robots))
 
 
-def _min_on_segment(objective, seg, tol: float = 1e-12) -> tuple[Point2, float]:
+def _min_on_segment(objective, seg) -> tuple[Point2, float]:
     """Golden-section minimum of a unimodal objective along a segment.
 
-    Searches the [0, 1] parameter down to width tol, then keeps the best
+    Searches the [0, 1] parameter down to width 1e-12, then keeps the best
     of the refined point and both endpoints.
     """
     ax, ay = seg.a
@@ -224,7 +224,7 @@ def _min_on_segment(objective, seg, tol: float = 1e-12) -> tuple[Point2, float]:
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = g(c), g(d)
-    while b - a > tol:
+    while b - a > 1e-12:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -504,8 +504,10 @@ class Planner(NamedTuple):
     is the planner's proven ratio for a schedule whose worst subset is
     worst_mask, or None where none applies; bound_for_report asks it only
     where applies holds, so a schedule relabelled with another planner's
-    name gets no bound outside that planner's budget. label and
-    bound_desc name the regime and the bound in the bench table.
+    name gets no bound outside that planner's budget. The F = 1 rows
+    compute their bound from the instance, never from the schedule's
+    meta. label and bound_desc name the regime and the bound in the bench
+    table.
     """
 
     plan: Callable[[Instance], Schedule]
@@ -515,11 +517,12 @@ class Planner(NamedTuple):
     bound_desc: str
 
 
-def _predicted_bound(
-    instance: Instance, schedule: Schedule, mask: int
-) -> Optional[float]:
-    val = schedule.meta.get("predicted_cr")
-    return float(val) if val is not None else None
+def _tri_bound(instance: Instance, schedule: Schedule, mask: int) -> Optional[float]:
+    """tri_opt_point's ratio for the instance; None for a degenerate triangle."""
+    try:
+        return tri_opt_point(triangle_instance(*instance.robots)).predicted_cr
+    except DegenerateError:
+        return None
 
 
 def _grid_bound(instance: Instance, schedule: Schedule, mask: int) -> Optional[float]:
@@ -543,11 +546,12 @@ PLANNERS: dict[str, Planner] = {
         "F = 0 (enclosing circle)", "1",
     ),
     "opt-f1": Planner(
-        plan_opt_f1, lambda n, f: f == 1, _predicted_bound,
+        plan_opt_f1, lambda n, f: f == 1,
+        lambda inst, sched, mask: opt_point_f1(inst).predicted_cr,
         "F = 1 (optimal target)", "predicted per instance",
     ),
     "tri": Planner(
-        plan_tri, lambda n, f: n == 3 and f == 1, _predicted_bound,
+        plan_tri, lambda n, f: n == 3 and f == 1, _tri_bound,
         "n = 3, F = 1 (closed form)", "predicted per instance",
     ),
     "centerpoint": Planner(

@@ -9,21 +9,17 @@ import math
 import random
 import time
 
-from byzgather import (
-    DegenerateError,
-    Point2,
+from byzgather.errors import DegenerateError
+from byzgather.geom import Point2, dist, minidisk
+from byzgather.model import (
     ScheduleTimeline,
-    bound_for_report,
-    check_lb_achievable,
-    dist,
     enumerate_reliable_subsets,
-    lower_bound_f1,
     make_instance,
-    minidisk,
-    opt_point_f1,
     optimal_gather_time,
-    oracle_opt_point,
-    overall_cr,
+    validate_schedule,
+)
+from byzgather.planners import (
+    opt_point_f1,
     plan_auto,
     plan_centerpoint,
     plan_grid,
@@ -36,7 +32,13 @@ from byzgather import (
     subset_radius_order,
     tri_opt_point,
     triangle_instance,
-    validate_schedule,
+)
+from byzgather.analysis import (
+    bound_for_report,
+    check_lb_achievable,
+    lower_bound_f1,
+    oracle_opt_point,
+    overall_cr,
 )
 
 SQRT2 = math.sqrt(2.0)

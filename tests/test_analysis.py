@@ -4,21 +4,15 @@ import random
 
 import pytest
 
-from byzgather import (
+from byzgather.errors import (
     DegenerateRatioError,
-    Point2,
-    Schedule,
     SubsetNeverGathersError,
     TooSmallError,
-    bench_table,
-    bound_for_report,
-    check_lb_achievable,
-    competitive_ratio,
-    dist,
-    lower_bound_f1,
-    make_instance,
-    oracle_opt_point,
-    overall_cr,
+)
+from byzgather.geom import Point2, dist, minidisk
+from byzgather.model import Schedule, Waypoint, make_instance
+from byzgather.planners import (
+    opt_point_f1,
     plan_auto,
     plan_centerpoint,
     plan_grid,
@@ -28,10 +22,16 @@ from byzgather import (
     plan_single_point,
     plan_ssi,
     plan_tri,
-    report_to_obj,
     subset_radius_order,
-    minidisk,
-    Waypoint,
+)
+from byzgather.analysis import (
+    bench_table,
+    bound_for_report,
+    check_lb_achievable,
+    lower_bound_f1,
+    oracle_opt_point,
+    overall_cr,
+    report_to_obj,
 )
 from util import EQUILATERAL, LINE3, TRI_202, points_close, random_points
 
@@ -43,7 +43,7 @@ class TestCompetitiveRatio:
     def test_line3_full_subset(self):
         inst = make_instance(LINE3, 1)
         sch = plan_opt_f1(inst)
-        row = competitive_ratio(inst, sch, 0b111)
+        row = overall_cr(inst, sch, [0b111]).subsets[0]
         assert abs(row.gather_time - 2.5) < 1e-6
         assert abs(row.optimal_time - 2.5) < 1e-9
         assert abs(row.cr - 1.0) < 1e-6
@@ -51,14 +51,14 @@ class TestCompetitiveRatio:
     def test_line3_adversary_subset(self):
         inst = make_instance(LINE3, 1)
         sch = plan_opt_f1(inst)
-        row = competitive_ratio(inst, sch, 0b110)
+        row = overall_cr(inst, sch, [0b110]).subsets[0]
         assert abs(row.optimal_time - 2.45) < 1e-9
         assert abs(row.cr - 2.5 / 2.45) < 1e-6
 
     def test_coincident_subset_ratio_one(self):
         inst = make_instance([(1.0, 1.0), (1.0, 1.0), (5.0, 1.0)], 1)
         sch = plan_opt_f1(inst)
-        row = competitive_ratio(inst, sch, 0b011)
+        row = overall_cr(inst, sch, [0b011]).subsets[0]
         assert row.optimal_time == 0.0
         assert row.cr == 1.0
 
@@ -72,7 +72,7 @@ class TestCompetitiveRatio:
             ],
         )
         with pytest.raises(SubsetNeverGathersError):
-            competitive_ratio(inst, sch, 0b11)
+            overall_cr(inst, sch, [0b11]).subsets[0]
 
     def test_degenerate_ratio_raises(self):
         # start-mismatched schedule: subset optimum is 0 but the meet is late
@@ -85,7 +85,7 @@ class TestCompetitiveRatio:
             ],
         )
         with pytest.raises(DegenerateRatioError):
-            competitive_ratio(inst, sch, 0b11)
+            overall_cr(inst, sch, [0b11]).subsets[0]
 
 
 class TestOverallCr:
@@ -182,6 +182,22 @@ class TestBoundForReport:
         assert bound_for_report(inst2, opt, 0b111111) is None
         assert overall_cr(inst2, opt).bound is None
 
+    def test_f1_bounds_come_from_the_instance_not_the_meta(self):
+        # An ssi schedule relabelled opt-f1 inside its budget: the bound is
+        # opt_point_f1's ratio for the instance, not the 99 in its meta.
+        inst = make_instance(random_points(random.Random(405), 6), 1)
+        opt = Schedule("opt-f1", plan_ssi(inst).trajectories, {"predicted_cr": 99.0})
+        rep = overall_cr(inst, opt)
+        assert abs(rep.bound - 1.1492106449) < 1e-9
+        assert rep.bound == opt_point_f1(inst).predicted_cr
+        assert rep.bound_satisfied is False
+        assert abs(rep.overall_cr - 1.345) < 1e-3
+        # A collinear triangle has no closed-form target, so no tri bound.
+        line = make_instance(LINE3, 1)
+        tri = Schedule("tri", plan_opt_f1(line).trajectories, {"predicted_cr": 99.0})
+        assert bound_for_report(line, tri, 0b111) is None
+        assert overall_cr(line, tri).bound is None
+
     def test_bounds_hold_on_reports(self):
         rng = random.Random(404)
         for planner in (plan_opt_f1, plan_centerpoint, plan_ssi):
@@ -261,6 +277,22 @@ class TestCheckLbAchievable:
             rep = overall_cr(inst, plan_opt_f1(inst))
             assert abs(rep.overall_cr - cert.lower_bound) < 1e-6
         assert hits >= 30
+
+    def test_certified_bound_is_attained_on_uniform_probe(self):
+        # Certifying needs |PD| <= |AD| on the segment as well as the disks
+        # of radius q; without it 24 of these instances were certified
+        # while the optimal single target stays above the bound.
+        rng = random.Random(7)
+        certified = 0
+        for trial in range(1500):
+            inst = make_instance(random_points(rng, rng.randint(3, 8)), 1)
+            cert = check_lb_achievable(inst)
+            if not cert.intersects:
+                continue
+            certified += 1
+            best = opt_point_f1(inst).predicted_cr
+            assert best <= cert.lower_bound * (1.0 + 1e-9), (trial, best, cert)
+        assert certified == 465
 
 
 class TestOracleOptPoint:

@@ -5,15 +5,17 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 from importlib.metadata import entry_points
 from pathlib import Path
 
 import pytest
 
-from byzgather import dumps, instance_to_obj, make_instance
-from byzgather.cli import main
+import byzgather
+from byzgather.model import dumps, instance_to_obj, make_instance
 from byzgather.planners import PLANNERS
+from byzgather.cli import main
 from util import LINE3, SQUARE
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -221,6 +223,29 @@ class TestPlannerNames:
             main(["plan", "--help"])
         choices = re.search(r"--alg \{([^}]*)\}", capsys.readouterr().out).group(1)
         assert documented == choices.split(",") == [*PLANNERS, "auto"]
+
+
+class TestReadmeLibrary:
+    def _section(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        return readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+
+    def test_python_block_runs_verbatim(self, capsys):
+        block = re.search(r"```python\n(.*?)```", self._section(), re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out == "1.0204081632653061 0x6\n"
+
+    def test_listed_names_are_the_package_root(self):
+        # The names the README lists are exactly the public names of the
+        # package root, submodules aside.
+        listed = self._section().split("The package root exports", 1)[1]
+        listed = listed.split("Everything else", 1)[0]
+        documented = set(re.findall(r"`(\w+)`", listed))
+        exported = {
+            name for name, value in vars(byzgather).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert documented == exported and len(exported) == 26
 
 
 def _script_target():

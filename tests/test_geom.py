@@ -3,17 +3,13 @@ import random
 
 import pytest
 
-from byzgather import (
-    AllCoincidentError,
-    DegenerateError,
-    EmptySetError,
-    Point2,
+from byzgather.errors import AllCoincidentError, DegenerateError, EmptySetError
+from byzgather.geom import (
     centerpoint,
     closest_distinct_pair,
     dist,
     furthest_voronoi,
     median_line_pair,
-    midpoint,
     minidisk,
     support_set,
 )

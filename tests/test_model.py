@@ -4,32 +4,25 @@ import random
 
 import pytest
 
-from byzgather import (
+from byzgather.errors import EmptySetError, TooLargeError
+from byzgather.geom import Point2, dist
+from byzgather.model import (
     EPS_MEET,
-    EmptySetError,
-    Instance,
-    Point2,
     Schedule,
     ScheduleTimeline,
-    TooLargeError,
     Waypoint,
-    dist,
     dumps,
     enumerate_reliable_subsets,
-    gather_time,
     instance_from_obj,
     instance_to_obj,
     make_instance,
     optimal_gather_time,
-    plan_mec,
-    plan_opt_f1,
-    plan_single_point,
-    plan_ssi,
     position_at,
     schedule_from_obj,
     schedule_to_obj,
     validate_schedule,
 )
+from byzgather.planners import plan_mec, plan_opt_f1, plan_single_point, plan_ssi
 from util import LINE3, TRI_202, popcount, random_points
 
 
@@ -156,18 +149,19 @@ class TestGatherTime:
     def test_two_robots_meet_at_midpoint(self):
         inst = make_instance([(0.0, 0.0), (2.0, 0.0)], 0)
         sch = plan_mec(inst)
-        assert abs(gather_time(sch, 0b11) - 1.0) < 1e-9
+        assert abs(ScheduleTimeline(sch).gather_time(0b11) - 1.0) < 1e-9
 
     def test_singleton_zero(self):
         inst = make_instance([(0.0, 0.0), (2.0, 0.0)], 0)
         sch = plan_mec(inst)
-        assert gather_time(sch, 0b01) == 0.0
+        assert ScheduleTimeline(sch).gather_time(0b01) == 0.0
 
     def test_line3_single_point_schedule(self):
         inst = make_instance(LINE3, 1)
         sch = plan_single_point(inst, Point2(0.05, 0.0))
-        assert abs(gather_time(sch, 0b011) - 0.05) < 1e-9
-        assert abs(gather_time(sch, 0b111) - 2.5) < 1e-9
+        tl = ScheduleTimeline(sch)
+        assert abs(tl.gather_time(0b011) - 0.05) < 1e-9
+        assert abs(tl.gather_time(0b111) - 2.5) < 1e-9
 
     def test_never_gathers_is_none(self):
         inst = make_instance([(0.0, 0.0), (9.0, 0.0)], 0)
@@ -178,7 +172,7 @@ class TestGatherTime:
                 (Waypoint(0.0, Point2(9.0, 0.0)), Waypoint(1.0, Point2(9.0, 0.0))),
             ),
         )
-        assert gather_time(sch, 0b11) is None
+        assert ScheduleTimeline(sch).gather_time(0b11) is None
 
     def test_empty_and_out_of_range_masks(self):
         inst = make_instance([(0.0, 0.0), (2.0, 0.0)], 0)
@@ -198,7 +192,7 @@ class TestGatherTime:
                 (Waypoint(0.0, Point2(4.0, 0.0)), Waypoint(4.0, Point2(0.0, 0.0))),
             ),
         )
-        assert abs(gather_time(sch, 0b11) - 2.0) < 1e-9
+        assert abs(ScheduleTimeline(sch).gather_time(0b11) - 2.0) < 1e-9
 
     def test_reported_instant_is_a_true_meeting(self):
         rng = random.Random(202)

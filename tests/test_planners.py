@@ -3,23 +3,20 @@ import random
 
 import pytest
 
-from byzgather import (
+from byzgather.errors import (
     BadParamsError,
+    BudgetTooLargeError,
     DegenerateError,
-    Point2,
-    ScheduleTimeline,
     TooLargeError,
     TooSmallError,
     WrongBudgetError,
-    BudgetTooLargeError,
-    dist,
-    enumerate_reliable_subsets,
-    gather_time,
-    make_instance,
-    minidisk,
+)
+from byzgather.geom import Point2, dist, furthest_voronoi, minidisk
+from byzgather.model import ScheduleTimeline, make_instance, position_at, validate_schedule
+from byzgather.planners import (
+    PLANNERS,
+    _f1_objective,
     opt_point_f1,
-    optimal_gather_time,
-    overall_cr,
     plan_auto,
     plan_centerpoint,
     plan_grid,
@@ -29,15 +26,11 @@ from byzgather import (
     plan_single_point,
     plan_ssi,
     plan_tri,
-    position_at,
     subset_radius_order,
     tri_opt_point,
     triangle_instance,
-    validate_schedule,
 )
-from byzgather.analysis import BOUND_SLACK
-from byzgather.planners import PLANNERS, _f1_objective
-from byzgather.geom import furthest_voronoi
+from byzgather.analysis import BOUND_SLACK, overall_cr
 from util import EQUILATERAL, LINE3, SQUARE, TRI_202, points_close, random_points
 
 SQRT2 = math.sqrt(2.0)
@@ -428,7 +421,7 @@ class TestPlanGrid:
                 continue
             inst = make_instance([(ax, ay), (bx, by)], 0)
             sch = plan_grid(inst)
-            g = gather_time(sch, 0b11)
+            g = ScheduleTimeline(sch).gather_time(0b11)
             assert g is not None
             assert g <= 16.0 * SQRT2 * dij + SQRT2 * sch.meta["d_eps"] + 1e-6
 

@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 
-from byzgather import Point2
+from byzgather.geom import Point2
 
 
 def random_points(rng: random.Random, n: int, span: float = 100.0):

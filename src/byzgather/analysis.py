@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     BadParamsError,
     DegenerateRatioError,
+    EmptySetError,
     SubsetNeverGathersError,
 )
 from .geom import EPS_GEO, Point2, support_set
@@ -87,7 +88,8 @@ def overall_cr(
     when it is gathered immediately; a later meeting raises
     DegenerateRatioError, and a subset that never gathers raises
     SubsetNeverGathersError. The reported argmax is the first subset (in
-    the given order) attaining the maximum.
+    the given order) attaining the maximum. An empty masks list raises
+    EmptySetError.
     """
     if masks is None:
         masks = enumerate_reliable_subsets(instance)
@@ -107,6 +109,8 @@ def overall_cr(
                 f"subset {mask:#x} starts gathered but meets only at t={g!r}"
             )
         rows.append(GatherReport(mask, g, opt, cr))
+    if not rows:
+        raise EmptySetError("no subset masks given")
     worst = max(rows, key=lambda row: row.cr)
     bound = bound_for_report(instance, schedule, worst.mask)
     satisfied = None if bound is None else bool(worst.cr <= bound + BOUND_SLACK)
@@ -297,8 +301,11 @@ def bench_table(seed: int = 0, per_row: int = 100) -> list:
     One row per regime in BENCH_SIZES; each row draws per_row random
     instances with the budget pushed to the regime's limit and reports
     the worst overall ratio, the applicable bound, and the worst slack
-    (ratio minus bound; at most ~1e-6 when every bound holds).
+    (ratio minus bound; at most ~1e-6 when every bound holds). per_row
+    below 1 raises BadParamsError.
     """
+    if per_row < 1:
+        raise BadParamsError(f"per_row must be at least 1, got {per_row}")
     rng = random.Random(seed)
     rows = []
     for alg, (lo, hi) in BENCH_SIZES.items():

@@ -37,10 +37,6 @@ class BadParamsError(GatheringError):
     """A tuning parameter is out of its valid range."""
 
 
-class AmbiguousLaggardError(GatheringError):
-    """More than one robot is strictly farther than the rendezvous deadline allows."""
-
-
 class SubsetNeverGathersError(GatheringError):
     """A reliable subset never gathers within the schedule horizon."""
 

@@ -2,7 +2,7 @@
 
 Provides the minimum enclosing circle, its boundary support set, the
 furthest-point Voronoi diagram restricted to a clamp disk, centerpoints,
-and median line pairs. Distances are Euclidean; comparisons use the
+and median-line crossings. Distances are Euclidean; comparisons use the
 absolute tolerance EPS_GEO (input coordinates are assumed to be of
 moderate magnitude, up to about 1e6).
 """
@@ -237,8 +237,6 @@ def _bbox(points: Sequence[Point2]) -> tuple[float, float, float, float]:
 
 def _clip_halfplane(poly: list[Point2], nx: float, ny: float, c: float) -> list[Point2]:
     """Keep the part of poly with nx*x + ny*y <= c (Sutherland-Hodgman)."""
-    if not poly:
-        return []
     out: list[Point2] = []
     m = len(poly)
     for i in range(m):
@@ -277,8 +275,6 @@ def _collinear_centerpoint(points: Sequence[Point2]) -> Point2:
     p0 = points[0]
     far = max(points, key=lambda q: dist(p0, q))
     d = dist(p0, far)
-    if d <= EPS_GEO:
-        return Point2(*p0)
     ux, uy = (far[0] - p0[0]) / d, (far[1] - p0[1]) / d
     ts = sorted((q[0] - p0[0]) * ux + (q[1] - p0[1]) * uy for q in points)
     n = len(ts)
@@ -316,8 +312,6 @@ def centerpoint(points: Sequence[Point2]) -> Point2:
             pb = reps[b][0]
             nx, ny = pb[1] - pa[1], pa[0] - pb[0]
             norm = math.hypot(nx, ny)
-            if norm <= EPS_GEO:
-                continue
             nx, ny = nx / norm, ny / norm
             c = nx * pa[0] + ny * pa[1]
             cpos = cneg = 0
@@ -342,8 +336,6 @@ def centerpoint(points: Sequence[Point2]) -> Point2:
         worst = 0.0
         for hx, hy, hc in halves:
             worst = max(worst, hx * q[0] + hy * q[1] - hc)
-        for anchor, ux, uy in on_lines:
-            worst = max(worst, abs(ux * (q[1] - anchor[1]) - uy * (q[0] - anchor[0])))
         return worst
 
     x0, y0, x1, y1 = _bbox(pts)
@@ -408,19 +400,16 @@ def centerpoint(points: Sequence[Point2]) -> Point2:
     return min(cands, key=violation)
 
 
-def median_line_pair(points: Sequence[Point2]) -> tuple[LineSeg, LineSeg, Point2]:
-    """Axis-aligned median lines L_H (vertical) and L_V (horizontal).
+def median_line_pair(points: Sequence[Point2]) -> Point2:
+    """Crossing K of the axis-aligned median lines x = median x, y = median y.
 
-    L_H sits at the median x, L_V at the median y, K at their crossing.
     Each closed side of each line holds at least ceil(n/2) points (on-line
     points count for both sides). Even counts use the midpoint of the two
-    middle values. Lines are returned as segments spanning an inflated
-    bounding box.
+    middle values.
     """
     if not points:
         raise EmptySetError("median_line_pair needs points")
-    pts = [Point2(float(p[0]), float(p[1])) for p in points]
-    n = len(pts)
+    n = len(points)
 
     def med(vals: list[float]) -> float:
         vals = sorted(vals)
@@ -428,10 +417,4 @@ def median_line_pair(points: Sequence[Point2]) -> tuple[LineSeg, LineSeg, Point2
             return vals[n // 2]
         return (vals[n // 2 - 1] + vals[n // 2]) / 2.0
 
-    mx = med([p[0] for p in pts])
-    my = med([p[1] for p in pts])
-    x0, y0, x1, y1 = _bbox(pts)
-    pad = max(x1 - x0, y1 - y0, 1.0)
-    lh = LineSeg(Point2(mx, y0 - pad), Point2(mx, y1 + pad))
-    lv = LineSeg(Point2(x0 - pad, my), Point2(x1 + pad, my))
-    return lh, lv, Point2(mx, my)
+    return Point2(med([float(p[0]) for p in points]), med([float(p[1]) for p in points]))

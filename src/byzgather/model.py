@@ -83,8 +83,6 @@ def position_at(trajectory: Sequence[Waypoint], t: float) -> Point2:
         t1, p1 = trajectory[k]
         if t <= t1:
             t0, p0 = trajectory[k - 1]
-            if t1 - t0 <= 0.0:
-                return p1
             u = (t - t0) / (t1 - t0)
             return Point2(p0.x + u * (p1.x - p0.x), p0.y + u * (p1.y - p0.y))
     return trajectory[-1].pos
@@ -137,31 +135,26 @@ class ScheduleTimeline:
     Candidate times are all waypoint times plus, for every robot pair on
     every inter-event interval (where all robots move with constant
     velocity), the interior time of closest approach whenever that
-    approach comes within EPS_MEET. At each candidate the full pairwise
-    coincidence relation is packed into one big integer (bit i*n + j set
-    iff robots i and j are within EPS_MEET), so a subset's gather test is
-    a couple of mask operations per candidate.
+    approach comes within EPS_MEET. Robot positions are computed once per
+    candidate time. At each candidate the full pairwise coincidence
+    relation is packed into one big integer (bit i*n + j set iff robots i
+    and j are within EPS_MEET), so a subset's gather test is a couple of
+    mask operations per candidate.
     """
 
     def __init__(self, schedule: Schedule):
         trajs = schedule.trajectories
         if not trajs:
             raise EmptySetError("schedule has no trajectories")
-        self.n = len(trajs)
-        events = sorted({wp.t for tr in trajs for wp in tr})
-        if not events:
-            events = [0.0]
-        cands = set(events)
+        n = self.n = len(trajs)
+        events = sorted({wp.t for tr in trajs for wp in tr}) or [0.0]
+        at = {t: [position_at(tr, t) for tr in trajs] for t in events}
         eps2 = EPS_MEET * EPS_MEET
-        for a in range(len(events) - 1):
-            t0, t1 = events[a], events[a + 1]
+        for t0, t1 in zip(events, events[1:]):
             span = t1 - t0
-            if span <= 0.0:
-                continue
-            pos0 = [position_at(tr, t0) for tr in trajs]
-            pos1 = [position_at(tr, t1) for tr in trajs]
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
+            pos0, pos1 = at[t0], at[t1]
+            for i in range(n):
+                for j in range(i + 1, n):
                     rx = pos0[i].x - pos0[j].x
                     ry = pos0[i].y - pos0[j].y
                     vx = (pos1[i].x - pos1[j].x - rx) / span
@@ -174,20 +167,19 @@ class ScheduleTimeline:
                         continue
                     mx = rx + s * vx
                     my = ry + s * vy
-                    if mx * mx + my * my <= eps2:
-                        cands.add(t0 + s)
-        self.times: list[float] = sorted(cands)
+                    t = t0 + s
+                    if mx * mx + my * my <= eps2 and t not in at:
+                        at[t] = [position_at(tr, t) for tr in trajs]
+        self.times: list[float] = sorted(at)
         self.pair_masks: list[int] = []
-        m = self.n
         for t in self.times:
-            pos = [position_at(tr, t) for tr in trajs]
+            pos = at[t]
             bits = 0
-            for i in range(m):
-                row = 0
-                for j in range(m):
+            for i in range(n):
+                bits |= 1 << (i * n + i)
+                for j in range(i + 1, n):
                     if dist(pos[i], pos[j]) <= EPS_MEET:
-                        row |= 1 << j
-                bits |= row << (i * m)
+                        bits |= 1 << (i * n + j) | 1 << (j * n + i)
             self.pair_masks.append(bits)
 
     def gather_time(self, subset: int) -> Optional[float]:
@@ -262,7 +254,6 @@ def instance_from_obj(obj) -> Instance:
     if "robots" not in obj or "F" not in obj:
         raise ValueError("instance JSON needs 'robots' and 'F'")
     robots = obj["robots"]
-    f = obj["F"]
     if not isinstance(robots, list):
         raise ValueError("'robots' must be a list of [x, y] pairs")
     pts = []
@@ -270,9 +261,7 @@ def instance_from_obj(obj) -> Instance:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ValueError("each robot must be an [x, y] pair")
         pts.append(Point2(_as_number(item[0], "x"), _as_number(item[1], "y")))
-    if isinstance(f, bool) or not isinstance(f, int):
-        raise ValueError("'F' must be an integer")
-    return Instance(tuple(pts), f)
+    return Instance(tuple(pts), obj["F"])
 
 
 def schedule_to_obj(schedule: Schedule) -> dict:

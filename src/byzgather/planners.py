@@ -24,7 +24,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     AllCoincidentError,
-    AmbiguousLaggardError,
     BadParamsError,
     BudgetTooLargeError,
     DegenerateError,
@@ -105,7 +104,7 @@ def plan_single_point(instance: Instance, point, algorithm: str = "single-point"
     still strictly short of D at t1, everyone (including that robot, from
     wherever it is at t1) heads to the midpoint D' of D and the robot's
     position at t1. At most one robot can be strictly late by definition
-    of t1; more than one means the arithmetic broke down.
+    of t1.
     """
     if instance.n < 3:
         raise TooSmallError("single-point plan needs at least 3 robots")
@@ -114,10 +113,6 @@ def plan_single_point(instance: Instance, point, algorithm: str = "single-point"
     dists = [dist(p, d_pt) for p in robots]
     t1 = sorted(dists)[-2]
     laggards = [i for i, d in enumerate(dists) if d > t1 + EPS_GEO]
-    if len(laggards) > 1:
-        raise AmbiguousLaggardError(
-            "more than one robot beyond the (n-1)-th arrival time"
-        )
     meta = {"D": [d_pt.x, d_pt.y], "t1": t1}
     lag = laggards[0] if laggards else -1
     if laggards:
@@ -155,14 +150,6 @@ class OptPointResult(NamedTuple):
     r0_tie: bool
 
 
-def _f1_objective(s0: Sequence[Point2], c_pt: Point2, r0: float, r1: float):
-    def objective(d_pt: Point2) -> float:
-        far = max(dist(d_pt, p) for p in s0)
-        return max(far / r0, (far + dist(d_pt, c_pt)) / (2.0 * r1))
-
-    return objective
-
-
 class F1Setup(NamedTuple):
     """What the F = 1 analysis of an instance starts from.
 
@@ -183,6 +170,11 @@ class F1Setup(NamedTuple):
         """r_S / r_1, or inf when r_1 is zero (the bound degenerates)."""
         return math.inf if self.r1 <= 0.0 else self.mec.radius / self.r1
 
+    def ratio(self, d_pt: Point2) -> float:
+        """Worst-case ratio of the single-point plan targeting d_pt; needs r0 > 0."""
+        far = max(dist(d_pt, p) for p in self.s0)
+        return max(far / self.r0, (far + dist(d_pt, self.c_pt)) / (2.0 * self.r1))
+
     def start(self) -> tuple[Point2, float]:
         """K0, the center of S0's circle, and the ratio of a plan targeting it.
 
@@ -191,7 +183,7 @@ class F1Setup(NamedTuple):
         """
         k0 = minidisk(self.s0).center
         if self.r0 > EPS_GEO:
-            return k0, _f1_objective(self.s0, self.c_pt, self.r0, self.r1)(k0)
+            return k0, self.ratio(k0)
         if self.r1 <= EPS_GEO:
             return k0, 1.0
         far = max(dist(k0, p) for p in self.s0)
@@ -254,9 +246,8 @@ def opt_point_f1(instance: Instance) -> OptPointResult:
     s = f1_setup(instance)
     best_pt, best_val = s.start()
     if s.r0 > EPS_GEO:
-        objective = _f1_objective(s.s0, s.c_pt, s.r0, s.r1)
         for edge in furthest_voronoi(s.s0, s.r0 * best_val + s.mec.radius):
-            cand_pt, cand_val = _min_on_segment(objective, edge.seg)
+            cand_pt, cand_val = _min_on_segment(s.ratio, edge.seg)
             if cand_val < best_val:
                 best_pt, best_val = cand_pt, cand_val
     r0_tie = abs(s.r1 - s.r0) <= EPS_GEO
@@ -379,7 +370,7 @@ def plan_hamsandwich(instance: Instance) -> Schedule:
         raise BudgetTooLargeError(
             f"median-line plan requires F < ceil(n/2) = {limit}, got F = {instance.f}"
         )
-    _, _, k = median_line_pair(instance.robots)
+    k = median_line_pair(instance.robots)
     return _straight_to(instance.robots, k, "hamsandwich", {"D": [k.x, k.y]})
 
 
@@ -453,8 +444,6 @@ def plan_ssi(instance: Instance) -> Schedule:
     D, merging for good). The count of distinct positions drops every
     iteration, so there are at most n - 1 iterations.
     """
-    if instance.n < 2:
-        raise TooSmallError("need at least 2 robots")
     robots = instance.robots
     trajs = [[Waypoint(0.0, Point2(*p))] for p in robots]
     cur = [Point2(*p) for p in robots]
@@ -526,16 +515,24 @@ def _tri_bound(instance: Instance, schedule: Schedule, mask: int) -> Optional[fl
 
 
 def _grid_bound(instance: Instance, schedule: Schedule, mask: int) -> Optional[float]:
-    """2*sqrt(2) * (16 + d_eps / closest-pair distance within the subset)."""
-    d_eps = schedule.meta.get("d_eps")
-    if not d_eps:
+    """2*sqrt(2) * (16 + d_eps / closest-pair distance within the subset).
+
+    The schedule's meta d_eps is trusted only when plan_grid with it
+    reproduces the schedule's waypoints; otherwise there is no bound.
+    """
+    try:
+        replan = plan_grid(instance, schedule.meta.get("d_eps"))
+    except (BadParamsError, OverflowError):
+        return None
+    d_eps = replan.meta["d_eps"]
+    if not d_eps or replan.trajectories != [list(tr) for tr in schedule.trajectories]:
         return None
     pts = [p for i, p in enumerate(instance.robots) if mask >> i & 1]
     try:
         ab = closest_distinct_pair(pts)[2]
     except AllCoincidentError:
         return None
-    return 2.0 * SQRT2 * (16.0 + float(d_eps) / ab)
+    return 2.0 * SQRT2 * (16.0 + d_eps / ab)
 
 
 # Ordered by proven ratio. ssi's F + 2 beats grid's 2*sqrt(2)*16 while

@@ -6,11 +6,18 @@ import pytest
 
 from byzgather.errors import (
     DegenerateRatioError,
+    EmptySetError,
     SubsetNeverGathersError,
     TooSmallError,
 )
 from byzgather.geom import Point2, dist, minidisk
-from byzgather.model import Schedule, Waypoint, make_instance
+from byzgather.model import (
+    Schedule,
+    Waypoint,
+    make_instance,
+    schedule_from_obj,
+    schedule_to_obj,
+)
 from byzgather.planners import (
     opt_point_f1,
     plan_auto,
@@ -123,6 +130,11 @@ class TestOverallCr:
         first = next(row.mask for row in rep.subsets if row.cr >= top - 1e-12)
         assert rep.argmax_mask == first
 
+    def test_empty_masks_raise_empty_set_error(self):
+        inst = make_instance(LINE3, 1)
+        with pytest.raises(EmptySetError, match="no subset masks given"):
+            overall_cr(inst, plan_opt_f1(inst), [])
+
 
 class TestBoundForReport:
     def test_mec_bound_only_for_f0(self):
@@ -167,6 +179,29 @@ class TestBoundForReport:
         inst = make_instance(pts, 1)
         sch = plan_grid(inst)
         assert bound_for_report(inst, sch, 0b011) is None
+
+    def test_grid_bound_only_for_the_replanned_schedule(self):
+        # Robots that wait 10 000 s and then meet at the centre, labelled grid
+        # with a huge d_eps: the label and d_eps must not earn a bound.
+        inst = make_instance(random_points(random.Random(3), 6), 4)
+        c = minidisk(inst.robots).center
+        trajs = [
+            [Waypoint(0.0, p), Waypoint(1e4, p), Waypoint(1e4 + dist(p, c), c)]
+            for p in inst.robots
+        ]
+        for d_eps in (1e9, "1e9", 10**400):
+            rep = overall_cr(inst, Schedule("grid", trajs, {"d_eps": d_eps}))
+            assert rep.overall_cr > 1000.0
+            assert rep.bound is None and rep.bound_satisfied is None
+        # Planned schedules keep their bound through JSON and as tuples.
+        for d_eps in (None, 0.37, 5.0):
+            sch = plan_grid(inst, d_eps)
+            want = overall_cr(inst, sch).bound
+            assert want is not None
+            back = schedule_from_obj(json.loads(json.dumps(schedule_to_obj(sch))))
+            assert overall_cr(inst, back).bound == want
+            tup = Schedule("grid", [tuple(tr) for tr in sch.trajectories], sch.meta)
+            assert overall_cr(inst, tup).bound == want
 
     def test_relabelled_schedule_outside_budget_gets_no_bound(self):
         # hamsandwich needs F < ceil(6/2) = 3; opt-f1 needs F = 1. Neither

@@ -211,6 +211,12 @@ class TestBenchCommand:
         assert len(rows) >= 5
         assert all(r["ok"] for r in rows)
 
+    def test_per_row_zero_is_precondition_error(self, tmp_path, capsys):
+        out_json = tmp_path / "bench.json"
+        assert main(["bench", "--per-row", "0", "--output", str(out_json)]) == 3
+        assert "per_row must be at least 1" in capsys.readouterr().err
+        assert not out_json.exists()
+
 
 class TestPlannerNames:
     def test_readme_cli_and_table_agree(self, capsys):

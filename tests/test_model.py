@@ -22,7 +22,14 @@ from byzgather.model import (
     schedule_to_obj,
     validate_schedule,
 )
-from byzgather.planners import plan_mec, plan_opt_f1, plan_single_point, plan_ssi
+from byzgather.planners import (
+    plan_centerpoint,
+    plan_grid,
+    plan_mec,
+    plan_opt_f1,
+    plan_single_point,
+    plan_ssi,
+)
 from util import LINE3, TRI_202, popcount, random_points
 
 
@@ -224,6 +231,45 @@ class TestGatherTime:
             for mask in enumerate_reliable_subsets(inst):
                 t = tl.gather_time(mask)
                 assert t is not None and t <= t_full + 1e-9
+
+    def test_masks_are_the_meeting_relation_and_gather_is_earliest(self):
+        # At every candidate time the packed mask is exactly the relation
+        # "within EPS_MEET" of the robots' positions there, and a subset's
+        # gather time is the first candidate at which all its pairs meet.
+        rng = random.Random(204)
+        planners = (plan_ssi, plan_grid, plan_centerpoint, plan_mec)
+        for trial in range(60):
+            pts = random_points(rng, rng.randint(2, 7))
+            if trial % 5 == 0:
+                pts[-1] = pts[0]
+            inst = make_instance(pts, 0)
+            sch = planners[trial % 4](inst)
+            tl = ScheduleTimeline(sch)
+            n = inst.n
+            rels = []
+            for t, bits in zip(tl.times, tl.pair_masks):
+                pos = [position_at(tr, t) for tr in sch.trajectories]
+                rel = {
+                    (i, j)
+                    for i in range(n)
+                    for j in range(n)
+                    if dist(pos[i], pos[j]) <= EPS_MEET
+                }
+                assert bits == sum(1 << (i * n + j) for i, j in rel), (trial, t)
+                rels.append(rel)
+            for mask in range(1, 1 << n):
+                sel = [i for i in range(n) if mask >> i & 1]
+                if len(sel) < 2:
+                    continue
+                first = next(
+                    (
+                        t
+                        for t, rel in zip(tl.times, rels)
+                        if all((i, j) in rel for i in sel for j in sel)
+                    ),
+                    None,
+                )
+                assert tl.gather_time(mask) == first, (trial, mask)
 
 
 class TestOptimalGatherTime:

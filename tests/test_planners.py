@@ -15,7 +15,7 @@ from byzgather.geom import Point2, dist, furthest_voronoi, minidisk
 from byzgather.model import ScheduleTimeline, make_instance, position_at, validate_schedule
 from byzgather.planners import (
     PLANNERS,
-    _f1_objective,
+    f1_setup,
     opt_point_f1,
     plan_auto,
     plan_centerpoint,
@@ -219,11 +219,10 @@ class TestOptPointF1:
             inst = make_instance(pts, 1)
             order = subset_radius_order(inst)
             omit0, r0 = order[0]
-            r1 = order[1][1]
             if r0 <= 1e-9:
                 continue
             s0 = [p for j, p in enumerate(pts) if j != omit0]
-            objective = _f1_objective(s0, pts[omit0], r0, r1)
+            objective = f1_setup(inst).ratio
             clamp = r0 * 3.0 + minidisk(pts).radius * 2.0
             for edge in furthest_voronoi(s0, clamp):
                 (x0, y0), (x1, y1) = edge.seg.a, edge.seg.b

@@ -35,6 +35,7 @@ from .model import (
     enumerate_reliable_subsets,
     make_instance,
     optimal_gather_time,
+    positive_number,
 )
 from .planners import PLANNERS, SQRT2, f1_setup
 from .planners import subset_radius_order  # unused here; the benchmark's layer tracer patches it
@@ -199,11 +200,6 @@ def check_lb_achievable(instance: Instance) -> LbCertificate:
         elif ee > 0.0:
             intersects = False
             break
-        if qa <= 0.0:
-            if qc > 0.0:
-                intersects = False
-                break
-            continue
         disc = qb * qb - 4.0 * qa * qc
         if disc < 0.0:
             intersects = False
@@ -226,21 +222,27 @@ class OracleResult(NamedTuple):
 _CHILD_X = np.array([-1.0, -1.0, 1.0, 1.0])
 _CHILD_Y = np.array([-1.0, 1.0, -1.0, 1.0])
 
+_CHUNK = 1 << 14  # most cells the oracle evaluates in one numpy pass
+
 
 def oracle_opt_point(instance: Instance, resolution: Optional[float] = None) -> OracleResult:
     """Exhaustive-search reference for the F = 1 optimal target.
 
-    Breadth-first cell subdivision (Piyavskii 1972, Shubert 1972) of the
+    Depth-first cell subdivision (Piyavskii 1972, Shubert 1972) of the
     single-target objective, which is (1/r_0)-Lipschitz because r_0 <= r_1.
     At distance s from K0 the objective is at least sqrt(s^2 + r_0^2) / r_0,
     so every point better than K0 lies in the first square. A cell is
     dropped when its center value minus (half-diagonal) / r_0 exceeds the
     best value so far, which no point in it can then beat; the others are
     split in four until the half-diagonal is at most resolution (default
-    r_S / 1000). The optimum's cell is never dropped, so the result cr
-    satisfies
+    r_S / 1000; BadParamsError unless positive and finite). The optimum's
+    cell is never dropped, so the result cr satisfies
 
         true optimum <= cr <= true optimum + resolution * (1/r_0 + 1/r_1).
+
+    At most _CHUNK cells are evaluated at a time, so memory stays bounded
+    where many survive (a collinear instance's flat segment). No dropped
+    cell beats the final minimum, so the order does not change it.
     """
     s = f1_setup(instance)
     best_pt, best = s.start()
@@ -248,12 +250,12 @@ def oracle_opt_point(instance: Instance, resolution: Optional[float] = None) -> 
         return OracleResult(best_pt, best)
     if resolution is None:
         resolution = 1e-3 * s.mec.radius
-    if not (resolution > 0.0 and math.isfinite(resolution)):
-        raise BadParamsError("resolution must be a positive finite number")
+    resolution = positive_number(resolution, "resolution")
 
     half = s.r0 * math.sqrt(max(best * best - 1.0, 0.0))
-    xs, ys = np.array([best_pt.x]), np.array([best_pt.y])
-    while True:
+    stack = [(np.array([best_pt.x]), np.array([best_pt.y]), half)]
+    while stack:
+        xs, ys, half = stack.pop()
         far = functools.reduce(np.maximum, (np.hypot(xs - p.x, ys - p.y) for p in s.s0))
         vals = np.maximum(
             far / s.r0, (far + np.hypot(xs - s.c_pt.x, ys - s.c_pt.y)) / (2.0 * s.r1)
@@ -262,11 +264,14 @@ def oracle_opt_point(instance: Instance, resolution: Optional[float] = None) -> 
         if vals[i] < best:
             best_pt, best = Point2(float(xs[i]), float(ys[i])), float(vals[i])
         if half * SQRT2 <= resolution:
-            return OracleResult(best_pt, best)
+            continue
         keep = vals - half * SQRT2 / s.r0 <= best * (1.0 + 1e-12) + 1e-15
         half /= 2.0
         xs = (xs[keep][:, None] + half * _CHILD_X).ravel()
         ys = (ys[keep][:, None] + half * _CHILD_Y).ravel()
+        for k in reversed(range(0, len(xs), _CHUNK)):
+            stack.append((xs[k : k + _CHUNK], ys[k : k + _CHUNK], half))
+    return OracleResult(best_pt, best)
 
 
 class BenchRow(NamedTuple):

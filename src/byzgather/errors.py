@@ -26,11 +26,7 @@ class TooLargeError(GatheringError):
 
 
 class WrongBudgetError(GatheringError):
-    """The fault budget F does not match the planner's requirement."""
-
-
-class BudgetTooLargeError(GatheringError):
-    """The fault budget F exceeds what the planner tolerates for this n."""
+    """(n, F) is outside the planner's budget, its PLANNERS row's applies."""
 
 
 class BadParamsError(GatheringError):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import EmptySetError, TooLargeError
+from .errors import BadParamsError, EmptySetError, TooLargeError
 from .geom import EPS_GEO, Point2, dist, minidisk
 
 EPS_MEET = 1e-7
@@ -236,15 +236,23 @@ def instance_to_obj(instance: Instance) -> dict:
     }
 
 
-def _as_number(v, what: str) -> float:
+def _as_number(v, what: str, error=ValueError) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{what} must be a number")
+        raise error(f"{what} must be a number")
     try:
         x = float(v)
     except OverflowError:
         x = math.inf
     if not math.isfinite(x):
-        raise ValueError(f"{what} must be finite, got {x!r}")
+        raise error(f"{what} must be finite, got {x!r}")
+    return x
+
+
+def positive_number(v, what: str) -> float:
+    """A tuning parameter as a float; BadParamsError unless positive and finite."""
+    x = _as_number(v, what, BadParamsError)
+    if x <= 0.0:
+        raise BadParamsError(f"{what} must be positive, got {x!r}")
     return x
 
 

@@ -25,9 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .errors import (
     AllCoincidentError,
     BadParamsError,
-    BudgetTooLargeError,
     DegenerateError,
-    TooLargeError,
     TooSmallError,
     WrongBudgetError,
 )
@@ -43,17 +41,16 @@ from .geom import (
     midpoint,
     minidisk,
 )
-from .model import Instance, Schedule, Waypoint
+from .model import Instance, Schedule, Waypoint, positive_number
 
 SQRT2 = math.sqrt(2.0)
 
 
-def _ceil_third(n: int) -> int:
-    return -(-n // 3)
-
-
-def _ceil_half(n: int) -> int:
-    return -(-n // 2)
+def _require(alg: str, instance: Instance) -> None:
+    """Raise WrongBudgetError unless PLANNERS[alg]'s budget holds."""
+    row, n, f = PLANNERS[alg], instance.n, instance.f
+    if not row.applies(n, f):
+        raise WrongBudgetError(f"{alg} requires {row.label}, got n = {n}, F = {f}")
 
 
 def _straight_to(points: Sequence[Point2], target, algorithm: str, meta: dict) -> Schedule:
@@ -256,8 +253,7 @@ def opt_point_f1(instance: Instance) -> OptPointResult:
 
 def plan_opt_f1(instance: Instance) -> Schedule:
     """Optimal plan for exactly one unreliable robot."""
-    if instance.f != 1:
-        raise WrongBudgetError(f"plan_opt_f1 requires F = 1, got F = {instance.f}")
+    _require("opt-f1", instance)
     res = opt_point_f1(instance)
     sched = plan_single_point(instance, res.point, algorithm="opt-f1")
     sched.meta.update(
@@ -339,12 +335,7 @@ def tri_opt_point(tri: TriangleInstance) -> TriOptResult:
 
 def plan_tri(instance: Instance) -> Schedule:
     """Closed-form plan for exactly three robots with F = 1."""
-    if instance.n < 3:
-        raise TooSmallError("plan_tri requires exactly 3 robots")
-    if instance.n > 3:
-        raise TooLargeError("plan_tri requires exactly 3 robots")
-    if instance.f != 1:
-        raise WrongBudgetError(f"plan_tri requires F = 1, got F = {instance.f}")
+    _require("tri", instance)
     tri = triangle_instance(*instance.robots)
     res = tri_opt_point(tri)
     sched = plan_single_point(instance, res.point, algorithm="tri")
@@ -354,22 +345,14 @@ def plan_tri(instance: Instance) -> Schedule:
 
 def plan_centerpoint(instance: Instance) -> Schedule:
     """Everyone to a centerpoint of the start positions; needs F < ceil(n/3)."""
-    limit = _ceil_third(instance.n)
-    if instance.f >= limit:
-        raise BudgetTooLargeError(
-            f"centerpoint plan requires F < ceil(n/3) = {limit}, got F = {instance.f}"
-        )
+    _require("centerpoint", instance)
     k = centerpoint(instance.robots)
     return _straight_to(instance.robots, k, "centerpoint", {"D": [k.x, k.y]})
 
 
 def plan_hamsandwich(instance: Instance) -> Schedule:
     """Everyone to the crossing of the two median lines; needs F < ceil(n/2)."""
-    limit = _ceil_half(instance.n)
-    if instance.f >= limit:
-        raise BudgetTooLargeError(
-            f"median-line plan requires F < ceil(n/2) = {limit}, got F = {instance.f}"
-        )
+    _require("hamsandwich", instance)
     k = median_line_pair(instance.robots)
     return _straight_to(instance.robots, k, "hamsandwich", {"D": [k.x, k.y]})
 
@@ -389,17 +372,18 @@ def plan_grid(instance: Instance, d_eps: Optional[float] = None) -> Schedule:
     time per level so all robots change levels in lockstep. Cell indices
     are always taken from the initial position. Stops at the first level
     whose cells coincide for all robots. d_eps defaults to 1/64 of the
-    closest distinct-pair distance.
+    closest distinct-pair distance; BadParamsError unless it is positive
+    and finite, even when all robots coincide.
     """
     robots = instance.robots
-    if all(dist(robots[0], p) <= EPS_GEO for p in robots):
+    coincident = all(dist(robots[0], p) <= EPS_GEO for p in robots)
+    if d_eps is None and not coincident:
+        d_eps = closest_distinct_pair(robots)[2] / 64.0
+    if d_eps is not None:
+        d_eps = positive_number(d_eps, "d_eps")
+    if coincident:
         trajs = [[Waypoint(0.0, Point2(*p))] for p in robots]
         return Schedule("grid", trajs, {"d_eps": d_eps, "levels": 0, "overruns": 0})
-    if d_eps is None:
-        d_eps = closest_distinct_pair(robots)[2] / 64.0
-    if not (isinstance(d_eps, (int, float)) and d_eps > 0.0 and math.isfinite(d_eps)):
-        raise BadParamsError("d_eps must be a positive finite number")
-    d_eps = float(d_eps)
     scaled = [(p.x / d_eps, p.y / d_eps) for p in robots]
 
     level = 1
@@ -489,14 +473,15 @@ class Planner(NamedTuple):
     """One row of PLANNERS.
 
     applies(n, F) holds at the budgets where plan_auto may pick the row
-    and where its bound is proven. bound(instance, schedule, worst_mask)
-    is the planner's proven ratio for a schedule whose worst subset is
-    worst_mask, or None where none applies; bound_for_report asks it only
-    where applies holds, so a schedule relabelled with another planner's
-    name gets no bound outside that planner's budget. The F = 1 rows
-    compute their bound from the instance, never from the schedule's
-    meta. label and bound_desc name the regime and the bound in the bench
-    table.
+    and where its bound is proven; plan_opt_f1, plan_tri, plan_centerpoint
+    and plan_hamsandwich raise WrongBudgetError outside it, while mec, ssi
+    and grid plan at any F. bound(instance, schedule, worst_mask) is the
+    planner's proven ratio for a schedule whose worst subset is worst_mask,
+    or None where none applies; bound_for_report asks it only where
+    applies holds, so a schedule relabelled with another planner's name
+    gets no bound outside that planner's budget. The F = 1 rows compute
+    their bound from the instance, never from the schedule's meta. label
+    and bound_desc name the regime and the bound in the bench table.
     """
 
     plan: Callable[[Instance], Schedule]
@@ -522,21 +507,20 @@ def _grid_bound(instance: Instance, schedule: Schedule, mask: int) -> Optional[f
     """
     try:
         replan = plan_grid(instance, schedule.meta.get("d_eps"))
-    except (BadParamsError, OverflowError):
+    except BadParamsError:
         return None
-    d_eps = replan.meta["d_eps"]
-    if not d_eps or replan.trajectories != [list(tr) for tr in schedule.trajectories]:
+    if replan.trajectories != [list(tr) for tr in schedule.trajectories]:
         return None
     pts = [p for i, p in enumerate(instance.robots) if mask >> i & 1]
     try:
         ab = closest_distinct_pair(pts)[2]
     except AllCoincidentError:
         return None
-    return 2.0 * SQRT2 * (16.0 + d_eps / ab)
+    return 2.0 * SQRT2 * (16.0 + replan.meta["d_eps"] / ab)
 
 
 # Ordered by proven ratio. ssi's F + 2 beats grid's 2*sqrt(2)*16 while
-# F <= floor(32*sqrt(2)) - 2 = 43.
+# F <= floor(32*sqrt(2)) - 2 = 43. For integers, F < ceil(n/k) is k*F < n.
 PLANNERS: dict[str, Planner] = {
     "mec": Planner(
         plan_mec, lambda n, f: f == 0, lambda inst, sched, mask: 1.0,
@@ -552,12 +536,12 @@ PLANNERS: dict[str, Planner] = {
         "n = 3, F = 1 (closed form)", "predicted per instance",
     ),
     "centerpoint": Planner(
-        plan_centerpoint, lambda n, f: f < _ceil_third(n),
+        plan_centerpoint, lambda n, f: 3 * f < n,
         lambda inst, sched, mask: 2.0,
         "F < ceil(n/3)", "2",
     ),
     "hamsandwich": Planner(
-        plan_hamsandwich, lambda n, f: f < _ceil_half(n),
+        plan_hamsandwich, lambda n, f: 2 * f < n,
         lambda inst, sched, mask: 2.0 * SQRT2,
         "F < ceil(n/2)", "2*sqrt(2)",
     ),

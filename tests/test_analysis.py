@@ -1,10 +1,12 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from byzgather.errors import (
+    BadParamsError,
     DegenerateRatioError,
     EmptySetError,
     SubsetNeverGathersError,
@@ -382,6 +384,31 @@ class TestOracleOptPoint:
     def test_too_small(self):
         with pytest.raises(TooSmallError):
             oracle_opt_point(make_instance([(0.0, 0.0), (1.0, 0.0)], 0))
+
+    def test_resolution_must_be_a_positive_finite_float(self):
+        inst = make_instance(LINE3, 1)
+        for bad in (10**400, "1e-3", 0.0, -1e-3, math.nan, True):
+            with pytest.raises(BadParamsError):
+                oracle_opt_point(inst, resolution=bad)
+
+    def test_single_location_s0_returns_k0(self):
+        res = oracle_opt_point(make_instance([(1.0, 1.0), (1.0, 1.0), (9.0, 1.0)], 1))
+        assert res.point == Point2(1.0, 1.0)
+        assert res.cr == 1.0  # (0 + 8) / (2 * 4)
+
+    def test_collinear_memory_is_bounded(self):
+        # Every cell along the flat segment survives pruning; chunked
+        # depth-first evaluation keeps the peak far below the ~90 MB that
+        # one breadth-first level takes here.
+        inst = make_instance([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], 1)
+        tracemalloc.start()
+        try:
+            res = oracle_opt_point(inst, resolution=1e-4 * 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert abs(res.cr - 1.5) < 1e-12
 
 
 class TestReportObj:

@@ -80,6 +80,60 @@ class TestPlanEvalRoundTrip:
         assert "subset 0x6:" in out and "subset 0x7:" in out
         assert "subset 0x3:" not in out
 
+    def test_eval_prints_violations(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, [(0.0, 0.0), (4.0, 0.0)], 0)
+        sched = tmp_path / "fast.json"
+        sched.write_text(
+            json.dumps(
+                {
+                    "algorithm": "mec",
+                    "trajectories": [
+                        [[0.0, 0.0, 0.0], [1.0, 2.0, 0.0]],
+                        [[0.0, 4.0, 0.0], [1.0, 2.0, 0.0]],
+                    ],
+                }
+            )
+        )
+        assert main(["eval", "--input", inst, "--schedule", str(sched)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "violation: robot 0: speed violation on leg 1 (moved 2 in 1)",
+            "violation: robot 1: speed violation on leg 1 (moved 2 in 1)",
+        ]
+        assert "schedule valid" not in lines
+
+    def test_eval_and_adversary_reports_are_identical(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, SQUARE, 1)
+        sched = str(tmp_path / "sched.json")
+        assert main(["plan", "--alg", "hamsandwich", "--input", inst, "--output", sched]) == 0
+        for cmd in ("eval", "adversary"):
+            out = str(tmp_path / f"{cmd}.json")
+            assert main([cmd, "--input", inst, "--schedule", sched, "--output", out]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "eval.json").read_bytes() == (tmp_path / "adversary.json").read_bytes()
+
+    def test_grid_d_eps_is_stored_and_bounded(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, SQUARE, 2)
+        sched = str(tmp_path / "sched.json")
+        argv = ["plan", "--alg", "grid", "--input", inst, "--output", sched, "--d-eps", "0.37"]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "sched.json").read_text())["meta"]["d_eps"] == 0.37
+        report = str(tmp_path / "report.json")
+        assert main(["adversary", "--input", inst, "--schedule", sched, "--output", report]) == 0
+        obj = json.loads((tmp_path / "report.json").read_text())
+        assert obj["bound"] == 2.0 * math.sqrt(2.0) * (16.0 + 0.37)  # closest pair 1
+        assert obj["bound_satisfied"] is True
+        assert "(within)" in capsys.readouterr().out
+
+    def test_empty_subset_parts_are_skipped(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, LINE3, 1)
+        sched = str(tmp_path / "sched.json")
+        assert main(["plan", "--alg", "opt-f1", "--input", inst, "--output", sched]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--input", inst, "--schedule", sched, "--subsets", "3,,5"]) == 0
+        rows = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("subset ")]
+        assert [ln.split(":")[0] for ln in rows] == ["subset 0x3", "subset 0x5"]
+
 
 class TestExitCodes:
     def test_missing_file(self, tmp_path, capsys):
@@ -144,6 +198,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "schedule valid" not in captured.out
         assert "finite" in captured.err
+
+    def test_bad_d_eps_on_coincident_robots(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, [(1.0, 1.0)] * 3, 1)
+        out = tmp_path / "sched.json"
+        for bad in ("nan", "-1", "0"):
+            argv = ["plan", "--alg", "grid", "--input", inst, "--output", str(out)]
+            assert main([*argv, "--d-eps", bad]) == 3
+            assert "error: d_eps must be" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_subset_mask(self, tmp_path, capsys):
         inst = write_instance(tmp_path, LINE3, 1)
@@ -252,6 +315,27 @@ class TestReadmeLibrary:
             if not name.startswith("_") and not isinstance(value, types.ModuleType)
         }
         assert documented == exported and len(exported) == 26
+
+
+class TestReadmeCli:
+    def test_shell_block_output_matches(self, tmp_path, monkeypatch, capsys):
+        # Replays the README's `## CLI` session: `cat` writes the shown file,
+        # each `byzgather` command must print exactly the lines shown.
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+        block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        commands = [c for c in block.split("$ ") if c.strip()]
+        assert len(commands) == 3
+        for chunk in commands:
+            command, *expected = chunk.strip().splitlines()
+            prog, *argv = command.split()
+            if prog == "cat":
+                Path(argv[0]).write_text("\n".join(expected) + "\n")
+                continue
+            assert prog == "byzgather"
+            assert main(argv) == 0, command
+            assert capsys.readouterr().out.splitlines() == expected, command
 
 
 def _script_target():

@@ -151,6 +151,17 @@ class TestValidateSchedule:
             )
             assert validate_schedule(inst, sch) == ["robot 0: non-finite waypoint 1"]
 
+    def test_empty_trajectory_and_late_start(self):
+        inst = make_instance([(0.0, 0.0), (4.0, 0.0)], 0)
+        sch = Schedule(
+            algorithm="mec",
+            trajectories=((), (Waypoint(0.5, Point2(4.0, 0.0)),)),
+        )
+        assert validate_schedule(inst, sch) == [
+            "robot 0: empty trajectory",
+            "robot 1: first waypoint at t=0.5, expected t=0",
+        ]
+
 
 class TestGatherTime:
     def test_two_robots_meet_at_midpoint(self):

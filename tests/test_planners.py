@@ -5,9 +5,7 @@ import pytest
 
 from byzgather.errors import (
     BadParamsError,
-    BudgetTooLargeError,
     DegenerateError,
-    TooLargeError,
     TooSmallError,
     WrongBudgetError,
 )
@@ -161,6 +159,10 @@ class TestOptPointF1:
         with pytest.raises(TooSmallError):
             opt_point_f1(make_instance([(0.0, 0.0), (2.0, 0.0)], 0))
 
+    def test_plan_opt_f1_outside_budget(self):
+        with pytest.raises(WrongBudgetError, match=r"opt-f1 requires F = 1 .*n = 4, F = 2"):
+            plan_opt_f1(make_instance(SQUARE, 2))
+
     def test_equidistant_from_two_furthest(self):
         # The optimum sits on a perpendicular bisector of the two points of
         # S0 furthest from it (top-2 distance tie).
@@ -298,9 +300,9 @@ class TestTriangle:
             assert abs(res_tri.predicted_cr - res_opt.predicted_cr) < 1e-6, pts
 
     def test_plan_tri_guards(self):
-        with pytest.raises(TooSmallError):
+        with pytest.raises(WrongBudgetError):
             plan_tri(make_instance([(0.0, 0.0), (1.0, 0.0)], 0))
-        with pytest.raises(TooLargeError):
+        with pytest.raises(WrongBudgetError):
             plan_tri(make_instance([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, 0.0)], 1))
         with pytest.raises(WrongBudgetError):
             plan_tri(make_instance(TRI_202, 0))
@@ -328,7 +330,7 @@ class TestPlanCenterpoint:
         assert abs(sch.horizon - 1.0) < 1e-9
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetTooLargeError):
+        with pytest.raises(WrongBudgetError):
             plan_centerpoint(make_instance(SQUARE, 2))  # ceil(4/3) = 2
 
     def test_bound_on_random_instances(self):
@@ -352,7 +354,7 @@ class TestPlanHamsandwich:
         assert points_close(sch.trajectories[0][-1].pos, (1.0, 0.0), 1e-9)
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetTooLargeError):
+        with pytest.raises(WrongBudgetError):
             plan_hamsandwich(make_instance(SQUARE, 2))  # ceil(4/2) = 2
 
     def test_bound_on_random_instances(self):
@@ -390,6 +392,21 @@ class TestPlanGrid:
             plan_grid(inst, d_eps=0.0)
         with pytest.raises(BadParamsError):
             plan_grid(inst, d_eps=-1.0)
+
+    def test_d_eps_must_be_a_positive_finite_float(self):
+        inst = make_instance([(0.0, 0.0), (1.0, 0.0)], 0)
+        for bad in (10**400, "1", True, math.nan, math.inf):
+            with pytest.raises(BadParamsError):
+                plan_grid(inst, d_eps=bad)
+
+    def test_d_eps_checked_on_coincident_robots(self):
+        inst = make_instance([(3.0, 3.0)] * 3, 1)
+        for bad in (math.nan, -1.0, 0.0, "abc", 10**400):
+            with pytest.raises(BadParamsError):
+                plan_grid(inst, d_eps=bad)
+        d_eps = plan_grid(inst, d_eps=2).meta["d_eps"]
+        assert d_eps == 2.0 and type(d_eps) is float
+        assert plan_grid(inst).meta["d_eps"] is None
 
     def test_default_d_eps_is_closest_pair_over_64(self):
         pts = [(0.0, 0.0), (3.2, 0.0), (10.0, 0.0)]
@@ -544,3 +561,18 @@ class TestPlannerTable:
                     rep = overall_cr(inst, sch)
                     assert rep.bound is not None, (name, n, f)
                     assert rep.overall_cr <= rep.bound + BOUND_SLACK, (name, n, f)
+
+    def test_budget_planners_refuse_exactly_outside_applies(self):
+        # opt-f1, tri, centerpoint and hamsandwich plan exactly where their
+        # row applies; mec, ssi and grid plan at every F.
+        rng = random.Random(319)
+        budgeted = {"opt-f1", "tri", "centerpoint", "hamsandwich"}
+        for name, row in PLANNERS.items():
+            for n in range(2, 10):
+                for f in range(n - 1):
+                    inst = make_instance(random_points(rng, n), f)
+                    if row.applies(n, f) or name not in budgeted:
+                        assert row.plan(inst).algorithm == name
+                    else:
+                        with pytest.raises(WrongBudgetError, match=f"{name} requires"):
+                            row.plan(inst)

@@ -509,14 +509,15 @@ def _grid_bound(instance: Instance, schedule: Schedule, mask: int) -> Optional[f
         replan = plan_grid(instance, schedule.meta.get("d_eps"))
     except BadParamsError:
         return None
-    if replan.trajectories != [list(tr) for tr in schedule.trajectories]:
+    d_eps = replan.meta["d_eps"]
+    if d_eps is None or replan.trajectories != [list(tr) for tr in schedule.trajectories]:
         return None
     pts = [p for i, p in enumerate(instance.robots) if mask >> i & 1]
     try:
         ab = closest_distinct_pair(pts)[2]
     except AllCoincidentError:
         return None
-    return 2.0 * SQRT2 * (16.0 + replan.meta["d_eps"] / ab)
+    return 2.0 * SQRT2 * (16.0 + d_eps / ab)
 
 
 # Ordered by proven ratio. ssi's F + 2 beats grid's 2*sqrt(2)*16 while

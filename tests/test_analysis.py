@@ -182,6 +182,15 @@ class TestBoundForReport:
         sch = plan_grid(inst)
         assert bound_for_report(inst, sch, 0b011) is None
 
+    def test_grid_bound_none_when_planned_as_coincident(self):
+        # Each robot is within EPS_GEO of robot 0, so plan_grid keeps them in
+        # place with d_eps None, yet robots 1 and 2 are 1.8e-9 apart.
+        inst = make_instance([(0.0, 0.0), (9e-10, 0.0), (-9e-10, 0.0)], 0)
+        sch = plan_grid(inst)
+        assert sch.meta["d_eps"] is None
+        rep = overall_cr(inst, sch)
+        assert rep.bound is None and rep.bound_satisfied is None
+
     def test_grid_bound_only_for_the_replanned_schedule(self):
         # Robots that wait 10 000 s and then meet at the centre, labelled grid
         # with a huge d_eps: the label and d_eps must not earn a bound.

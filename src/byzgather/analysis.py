@@ -119,22 +119,7 @@ def overall_cr(
 
 
 def report_to_obj(report: AdversaryReport) -> dict:
-    return {
-        "algorithm": report.algorithm,
-        "overall_cr": report.overall_cr,
-        "argmax_mask": report.argmax_mask,
-        "bound": report.bound,
-        "bound_satisfied": report.bound_satisfied,
-        "subsets": [
-            {
-                "mask": row.mask,
-                "gather_time": row.gather_time,
-                "optimal_time": row.optimal_time,
-                "cr": row.cr,
-            }
-            for row in report.subsets
-        ],
-    }
+    return {**report._asdict(), "subsets": [row._asdict() for row in report.subsets]}
 
 
 def lower_bound_f1(instance: Instance) -> float:

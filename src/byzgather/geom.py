@@ -3,8 +3,8 @@
 Provides the minimum enclosing circle, its boundary support set, the
 furthest-point Voronoi diagram restricted to a clamp disk, centerpoints,
 and median-line crossings. Distances are Euclidean; comparisons use the
-absolute tolerance EPS_GEO (input coordinates are assumed to be of
-moderate magnitude, up to about 1e6).
+absolute tolerance EPS_GEO (input coordinates are of moderate magnitude,
+at most 1e6, enforced by model.Instance).
 """
 
 import math

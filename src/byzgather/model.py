@@ -22,6 +22,10 @@ EPS_MEET = 1e-7
 # Subset enumeration is exponential; refuse beyond this.
 MAX_SUBSET_N = 24
 
+# Largest |robot coordinate|: float spacing there is 1.2e-10, about EPS_GEO / 8
+# (beyond 2**23 adjacent floats lie further apart than EPS_GEO).
+MAX_COORD = 1e6
+
 
 class Waypoint(NamedTuple):
     t: float
@@ -30,7 +34,7 @@ class Waypoint(NamedTuple):
 
 @dataclass(frozen=True)
 class Instance:
-    """Robot start positions and the fault budget F."""
+    """Robot start positions (Point2 floats within ±MAX_COORD) and the fault budget F."""
 
     robots: tuple[Point2, ...]
     f: int
@@ -43,9 +47,13 @@ class Instance:
             raise ValueError("F must be an integer")
         if not 0 <= self.f <= n - 2:
             raise ValueError(f"F must satisfy 0 <= F <= n-2, got F={self.f} with n={n}")
-        for p in self.robots:
-            if not (math.isfinite(p[0]) and math.isfinite(p[1])):
-                raise ValueError("robot coordinates must be finite")
+        pts = []
+        for x, y in self.robots:
+            p = Point2(finite_number(x, "x"), finite_number(y, "y"))
+            if abs(p.x) > MAX_COORD or abs(p.y) > MAX_COORD:
+                raise ValueError(f"robot coordinates must lie within ±{MAX_COORD:g}")
+            pts.append(p)
+        object.__setattr__(self, "robots", tuple(pts))
 
     @property
     def n(self) -> int:
@@ -53,8 +61,7 @@ class Instance:
 
 
 def make_instance(robots, f: int) -> Instance:
-    pts = tuple(Point2(float(p[0]), float(p[1])) for p in robots)
-    return Instance(pts, f)
+    return Instance(tuple(robots), f)
 
 
 @dataclass
@@ -184,10 +191,7 @@ class ScheduleTimeline:
 
     def gather_time(self, subset: int) -> Optional[float]:
         """Earliest candidate time at which the subset is gathered, else None."""
-        if subset <= 0:
-            raise EmptySetError("subset mask must be non-empty")
-        if subset >> self.n:
-            raise ValueError(f"subset mask {subset:#x} exceeds {self.n} robots")
+        _check_mask(subset, self.n)
         if subset & (subset - 1) == 0:
             return 0.0
         m = self.n
@@ -201,14 +205,18 @@ class ScheduleTimeline:
         return None
 
 
-def optimal_gather_time(instance: Instance, subset: int) -> float:
-    """Offline optimum for the subset: radius of its minimum enclosing circle."""
+def _check_mask(subset: int, n: int) -> None:
+    """EmptySetError for a mask <= 0; ValueError for any bit at or above n."""
     if subset <= 0:
         raise EmptySetError("subset mask must be non-empty")
-    pts = [instance.robots[i] for i in range(instance.n) if subset >> i & 1]
-    if not pts:
-        raise EmptySetError("subset selects no robots")
-    return minidisk(pts).radius
+    if subset >> n:
+        raise ValueError(f"subset mask {subset:#x} exceeds {n} robots")
+
+
+def optimal_gather_time(instance: Instance, subset: int) -> float:
+    """Offline optimum for the subset: radius of its minimum enclosing circle."""
+    _check_mask(subset, instance.n)
+    return minidisk([p for i, p in enumerate(instance.robots) if subset >> i & 1]).radius
 
 
 def enumerate_reliable_subsets(instance: Instance) -> list[int]:
@@ -236,7 +244,11 @@ def instance_to_obj(instance: Instance) -> dict:
     }
 
 
-def _as_number(v, what: str, error=ValueError) -> float:
+def finite_number(v, what: str, error=ValueError) -> float:
+    """An untrusted JSON or library value as a finite float.
+
+    Refuses bool, non-numbers, ints beyond float range, NaN and ±inf.
+    """
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise error(f"{what} must be a number")
     try:
@@ -250,7 +262,7 @@ def _as_number(v, what: str, error=ValueError) -> float:
 
 def positive_number(v, what: str) -> float:
     """A tuning parameter as a float; BadParamsError unless positive and finite."""
-    x = _as_number(v, what, BadParamsError)
+    x = finite_number(v, what, BadParamsError)
     if x <= 0.0:
         raise BadParamsError(f"{what} must be positive, got {x!r}")
     return x
@@ -264,12 +276,10 @@ def instance_from_obj(obj) -> Instance:
     robots = obj["robots"]
     if not isinstance(robots, list):
         raise ValueError("'robots' must be a list of [x, y] pairs")
-    pts = []
     for item in robots:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ValueError("each robot must be an [x, y] pair")
-        pts.append(Point2(_as_number(item[0], "x"), _as_number(item[1], "y")))
-    return Instance(tuple(pts), obj["F"])
+    return Instance(tuple(robots), obj["F"])
 
 
 def schedule_to_obj(schedule: Schedule) -> dict:
@@ -304,9 +314,7 @@ def schedule_from_obj(obj) -> Schedule:
         for item in row:
             if not isinstance(item, (list, tuple)) or len(item) != 3:
                 raise ValueError("each waypoint must be a [t, x, y] triple")
-            t = _as_number(item[0], "t")
-            x = _as_number(item[1], "x")
-            y = _as_number(item[2], "y")
+            t, x, y = (finite_number(v, what) for v, what in zip(item, "txy"))
             traj.append(Waypoint(t, Point2(x, y)))
         trajs.append(traj)
     meta = obj.get("meta", {})

@@ -372,8 +372,8 @@ def plan_grid(instance: Instance, d_eps: Optional[float] = None) -> Schedule:
     time per level so all robots change levels in lockstep. Cell indices
     are always taken from the initial position. Stops at the first level
     whose cells coincide for all robots. d_eps defaults to 1/64 of the
-    closest distinct-pair distance; BadParamsError unless it is positive
-    and finite, even when all robots coincide.
+    closest distinct-pair distance; BadParamsError unless it is a number
+    within [1e-300, 1e300], even when all robots coincide.
     """
     robots = instance.robots
     coincident = all(dist(robots[0], p) <= EPS_GEO for p in robots)
@@ -381,6 +381,8 @@ def plan_grid(instance: Instance, d_eps: Optional[float] = None) -> Schedule:
         d_eps = closest_distinct_pair(robots)[2] / 64.0
     if d_eps is not None:
         d_eps = positive_number(d_eps, "d_eps")
+        if not 1e-300 <= d_eps <= 1e300:  # beyond, scaled coordinates or cell sides overflow
+            raise BadParamsError(f"d_eps must lie within [1e-300, 1e300], got {d_eps!r}")
     if coincident:
         trajs = [[Waypoint(0.0, Point2(*p))] for p in robots]
         return Schedule("grid", trajs, {"d_eps": d_eps, "levels": 0, "overruns": 0})

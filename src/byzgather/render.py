@@ -5,8 +5,8 @@ byte-identical SVG. Geometry is drawn in math orientation (y up), so all
 y coordinates are negated for the SVG y-down convention.
 """
 
-from .geom import Point2, minidisk
-from .model import Instance, Schedule
+from .geom import minidisk
+from .model import Instance, Schedule, finite_number
 
 _PALETTE = [
     "#1f77b4",
@@ -93,7 +93,7 @@ def render_svg(instance: Instance, schedule: Schedule) -> str:
         val = schedule.meta.get(key)
         if not (isinstance(val, (list, tuple)) and len(val) == 2):
             continue
-        px, py = float(val[0]), float(val[1])
+        px, py = (finite_number(v, key) for v in val)
         arm = scale * 0.04
         for dx, dy in ((arm, arm), (arm, -arm)):
             lines.append(

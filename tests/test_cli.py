@@ -21,6 +21,43 @@ from util import LINE3, SQUARE
 SVG_NS = "{http://www.w3.org/2000/svg}"
 REPO = Path(__file__).resolve().parents[1]
 
+# The exact `adversary --output` bytes for LINE3 at F = 1 under opt-f1.
+LINE3_OPT_F1_REPORT = """\
+{
+  "algorithm": "opt-f1",
+  "overall_cr": 1.0204081632653061,
+  "argmax_mask": 6,
+  "bound": 1.0204081632653061,
+  "bound_satisfied": true,
+  "subsets": [
+    {
+      "mask": 3,
+      "gather_time": 0.05,
+      "optimal_time": 0.05,
+      "cr": 1.0
+    },
+    {
+      "mask": 5,
+      "gather_time": 2.5,
+      "optimal_time": 2.5,
+      "cr": 1.0
+    },
+    {
+      "mask": 6,
+      "gather_time": 2.5,
+      "optimal_time": 2.45,
+      "cr": 1.0204081632653061
+    },
+    {
+      "mask": 7,
+      "gather_time": 2.5,
+      "optimal_time": 2.5,
+      "cr": 1.0
+    }
+  ]
+}
+"""
+
 
 def write_instance(tmp_path, pts, f, name="inst.json"):
     path = tmp_path / name
@@ -49,6 +86,16 @@ class TestPlanEvalRoundTrip:
         assert abs(obj["overall_cr"] - 2.5 / 2.45) < 1e-6
         assert obj["argmax_mask"] == 0b110
         assert obj["bound_satisfied"] is True
+
+    def test_line3_adversary_report_bytes(self, tmp_path, capsys):
+        # Pins the report format: key order, indentation and float repr.
+        inst = write_instance(tmp_path, LINE3, 1)
+        sched = str(tmp_path / "sched.json")
+        report = tmp_path / "report.json"
+        assert main(["plan", "--alg", "opt-f1", "--input", inst, "--output", sched]) == 0
+        assert main(["adversary", "--input", inst, "--schedule", sched, "--output", str(report)]) == 0
+        capsys.readouterr()
+        assert report.read_text() == LINE3_OPT_F1_REPORT
 
     def test_reports_bit_identical_between_runs(self, tmp_path, capsys):
         inst = write_instance(tmp_path, SQUARE, 1)
@@ -208,6 +255,15 @@ class TestExitCodes:
             assert "error: d_eps must be" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_overflowing_instance_is_input_error(self, tmp_path, capsys):
+        # Finite coordinates whose distances overflow are refused, not planned.
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"robots": [[-1e308, 0], [1e308, 0]], "F": 0}')
+        out = tmp_path / "sched.json"
+        assert main(["plan", "--alg", "mec", "--input", str(inst), "--output", str(out)]) == 2
+        assert "within" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_subset_mask(self, tmp_path, capsys):
         inst = write_instance(tmp_path, LINE3, 1)
         sched = str(tmp_path / "sched.json")
@@ -262,6 +318,20 @@ class TestPlotCommand:
         assert main(["plot", "--input", inst, "--schedule", sched]) == 0
         out = capsys.readouterr().out
         ET.fromstring(out)
+
+
+    @pytest.mark.parametrize("marker", ["[NaN, 1]", "[1e999, 1]", "[null, 1]", '["1", 1]'])
+    def test_bad_marker_is_input_error(self, tmp_path, capsys, marker):
+        inst = write_instance(tmp_path, LINE3, 1)
+        sched = tmp_path / "sched.json"
+        assert main(["plan", "--alg", "opt-f1", "--input", inst, "--output", str(sched)]) == 0
+        obj = json.loads(sched.read_text())
+        obj["meta"]["D"] = "@"
+        sched.write_text(json.dumps(obj).replace('"@"', marker))
+        svg = tmp_path / "out.svg"
+        assert main(["plot", "--input", inst, "--schedule", str(sched), "--output", str(svg)]) == 2
+        assert "error: D must be" in capsys.readouterr().err
+        assert not svg.exists()
 
 
 class TestBenchCommand:

@@ -8,6 +8,8 @@ from byzgather.errors import EmptySetError, TooLargeError
 from byzgather.geom import Point2, dist
 from byzgather.model import (
     EPS_MEET,
+    MAX_COORD,
+    Instance,
     Schedule,
     ScheduleTimeline,
     Waypoint,
@@ -56,6 +58,24 @@ class TestInstance:
             make_instance([(0.0, 0.0), (math.nan, 1.0)], 0)
         with pytest.raises(ValueError):
             make_instance([(0.0, 0.0), (math.inf, 1.0)], 0)
+
+    def test_non_numbers_refused(self):
+        for bad in ("1", True, None):
+            with pytest.raises(ValueError, match="must be a number"):
+                make_instance([(0.0, 0.0), (bad, 1.0)], 0)
+
+    def test_coordinate_bound(self):
+        inst = make_instance([(-MAX_COORD, MAX_COORD), (MAX_COORD, -MAX_COORD)], 0)
+        assert inst.robots == (Point2(-1e6, 1e6), Point2(1e6, -1e6))
+        beyond = math.nextafter(MAX_COORD, math.inf)
+        for p in ((beyond, 0.0), (0.0, -beyond), (-1e308, 0.0), (10**400, 0.0)):
+            with pytest.raises(ValueError):
+                make_instance([(0.0, 0.0), p], 0)
+
+    def test_robots_stored_as_point2_floats(self):
+        inst = Instance(([0, 1], (2, 3.5)), 0)
+        assert inst.robots == (Point2(0.0, 1.0), Point2(2.0, 3.5))
+        assert all(type(p) is Point2 and type(p.x) is float for p in inst.robots)
 
 
 class TestPositionAt:
@@ -295,6 +315,12 @@ class TestOptimalGatherTime:
         inst = make_instance([(0.0, 0.0), (2.0, 0.0)], 0)
         with pytest.raises(EmptySetError):
             optimal_gather_time(inst, 0)
+
+    def test_high_bit_raises(self):
+        # Robots 0 and 1 alone are 5 apart; the stray bit must not be dropped.
+        inst = make_instance([(0.0, 0.0), (10.0, 0.0), (0.0, 30.0)], 0)
+        with pytest.raises(ValueError, match="exceeds 3 robots"):
+            optimal_gather_time(inst, (1 << 5) | 3)
 
 
 class TestEnumerateReliableSubsets:

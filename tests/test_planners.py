@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,7 +11,13 @@ from byzgather.errors import (
     WrongBudgetError,
 )
 from byzgather.geom import Point2, dist, furthest_voronoi, minidisk
-from byzgather.model import ScheduleTimeline, make_instance, position_at, validate_schedule
+from byzgather.model import (
+    MAX_COORD,
+    ScheduleTimeline,
+    make_instance,
+    position_at,
+    validate_schedule,
+)
 from byzgather.planners import (
     PLANNERS,
     f1_setup,
@@ -399,6 +406,18 @@ class TestPlanGrid:
             with pytest.raises(BadParamsError):
                 plan_grid(inst, d_eps=bad)
 
+    def test_d_eps_within_range_keeps_the_grid_finite(self):
+        # d_eps = 1e308 overflowed the cell sides into NaN targets, and 1e-302
+        # or 1e-303 the level sides or scaled coordinates into OverflowError.
+        inst = make_instance([(-1e6, -1e6), (1e6, 1e6)], 0)
+        for bad in (math.nextafter(1e300, math.inf), 1e308, 1e-302, 1e-303, 5e-324):
+            with pytest.raises(BadParamsError, match="within"):
+                plan_grid(inst, d_eps=bad)
+        for d_eps in (1e-300, 1e300):
+            sch = plan_grid(inst, d_eps=d_eps)
+            assert validate_schedule(inst, sch) == [], d_eps
+            assert overall_cr(inst, sch).bound_satisfied, d_eps
+
     def test_d_eps_checked_on_coincident_robots(self):
         inst = make_instance([(3.0, 3.0)] * 3, 1)
         for bad in (math.nan, -1.0, 0.0, "abc", 10**400):
@@ -561,6 +580,33 @@ class TestPlannerTable:
                     rep = overall_cr(inst, sch)
                     assert rep.bound is not None, (name, n, f)
                     assert rep.overall_cr <= rep.bound + BOUND_SLACK, (name, n, f)
+
+    def test_every_row_gathers_at_the_coordinate_bound(self):
+        # Robots over the whole ±MAX_COORD box, a quarter of the coordinates
+        # on its edges, closest pair at least 1e-3 of the 2e6 span; each row
+        # at its budget limit.
+        rng = random.Random(320)
+
+        def coord():
+            if rng.random() < 0.25:
+                return rng.choice((-MAX_COORD, MAX_COORD))
+            return rng.uniform(-MAX_COORD, MAX_COORD)
+
+        for trial in range(20):
+            n = 3 + trial % 4
+            while True:
+                pts = [(coord(), coord()) for _ in range(n)]
+                if min(math.dist(p, q) for p, q in itertools.combinations(pts, 2)) >= 2e3:
+                    break
+            for name, row in PLANNERS.items():
+                budgets = [f for f in range(n - 1) if row.applies(n, f)]
+                if not budgets:
+                    continue
+                inst = make_instance(pts, max(budgets))
+                rep = overall_cr(inst, row.plan(inst))  # raises if a subset never gathers
+                assert math.isfinite(rep.overall_cr), (name, trial)
+                assert rep.overall_cr >= 1.0 - 1e-9, (name, trial)
+                assert rep.bound is None or rep.bound_satisfied, (name, trial)
 
     def test_budget_planners_refuse_exactly_outside_applies(self):
         # opt-f1, tri, centerpoint and hamsandwich plan exactly where their

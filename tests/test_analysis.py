@@ -10,10 +10,12 @@ from byzgather.errors import (
     DegenerateRatioError,
     EmptySetError,
     SubsetNeverGathersError,
+    TooLargeError,
     TooSmallError,
 )
 from byzgather.geom import Point2, dist, minidisk
 from byzgather.model import (
+    MAX_SUBSET_N,
     Schedule,
     Waypoint,
     make_instance,
@@ -42,7 +44,7 @@ from byzgather.analysis import (
     overall_cr,
     report_to_obj,
 )
-from util import EQUILATERAL, LINE3, TRI_202, points_close, random_points
+from util import EQUILATERAL, LINE3, TRI_202, exact_mec_radii, points_close, random_points
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -136,6 +138,24 @@ class TestOverallCr:
         inst = make_instance(LINE3, 1)
         with pytest.raises(EmptySetError, match="no subset masks given"):
             overall_cr(inst, plan_opt_f1(inst), [])
+
+    @pytest.mark.parametrize("spread", [1e-8, 1e-6])
+    def test_optimum_exact_on_tight_cluster_far_from_origin(self, spread):
+        # A circumcenter computed in absolute coordinates loses the cluster's
+        # low bits: minidisk over-reports these radii by up to ~1e-6.
+        rng = random.Random(7)
+        pts = [(5.0 + rng.uniform(-spread, spread), 5.0 + rng.uniform(-spread, spread))
+               for _ in range(6)]
+        inst = make_instance(pts, 0)
+        exact = exact_mec_radii(pts)
+        rep = overall_cr(inst, plan_mec(inst), list(range(1, 1 << inst.n)))
+        for row in rep.subsets:
+            assert row.optimal_time <= exact[row.mask] + 1e-14 * (1.0 + 5.0), hex(row.mask)
+
+    def test_more_than_max_subset_n_robots_refused_for_explicit_masks(self):
+        inst = make_instance([(float(i), 0.0) for i in range(MAX_SUBSET_N + 1)], 0)
+        with pytest.raises(TooLargeError):
+            overall_cr(inst, plan_mec(inst), [0b11])
 
 
 class TestBoundForReport:
@@ -399,6 +419,12 @@ class TestOracleOptPoint:
         for bad in (10**400, "1e-3", 0.0, -1e-3, math.nan, True):
             with pytest.raises(BadParamsError):
                 oracle_opt_point(inst, resolution=bad)
+
+    def test_resolution_below_the_floor_is_refused(self):
+        # Unbounded, this collinear case ran for more than 40 s at 1e-6.
+        inst = make_instance([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (5.0, 0.0)], 1)
+        with pytest.raises(BadParamsError, match="at least"):
+            oracle_opt_point(inst, resolution=1e-6)
 
     def test_single_location_s0_returns_k0(self):
         res = oracle_opt_point(make_instance([(1.0, 1.0), (1.0, 1.0), (9.0, 1.0)], 1))

@@ -227,6 +227,33 @@ class TestExitCodes:
         assert main(["eval", "--input", inst, "--schedule", str(sched)]) == 4
         capsys.readouterr()
 
+    def test_fewer_trajectories_than_robots(self, tmp_path, capsys):
+        # Robots 0 and 1 meet, so mask 0x3 scores; mask 0x5 names robot 2,
+        # which has no trajectory.
+        inst = write_instance(tmp_path, LINE3, 1)
+        sched = tmp_path / "two.json"
+        sched.write_text(json.dumps({"algorithm": "mec", "trajectories": [
+            [[0.0, 0.0, 0.0], [1.0, 0.05, 0.0]],
+            [[0.0, 0.1, 0.0], [1.0, 0.05, 0.0]],
+        ]}))
+        assert main(["adversary", "--input", inst, "--schedule", str(sched)]) == 2
+        assert capsys.readouterr().err == "error: subset mask 0x5 exceeds 2 robots\n"
+
+    def test_extra_trajectories_are_ignored(self, tmp_path, capsys):
+        # Forty trajectories: no table may be sized by them (2**40 entries).
+        inst = write_instance(tmp_path, LINE3, 1)
+        sched, extra = tmp_path / "sched.json", tmp_path / "extra.json"
+        rep_a, rep_b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["plan", "--alg", "opt-f1", "--input", inst, "--output", str(sched)]) == 0
+        obj = json.loads(sched.read_text())
+        obj["trajectories"] += [[[0.0, 9.0, float(i)]] for i in range(37)]
+        extra.write_text(json.dumps(obj))
+        for path, out in ((sched, rep_a), (extra, rep_b)):
+            argv = ["adversary", "--input", inst, "--schedule", str(path), "--output", str(out)]
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert rep_a.read_text() == rep_b.read_text() == LINE3_OPT_F1_REPORT
+
     def test_non_finite_waypoint(self, tmp_path, capsys):
         inst = write_instance(tmp_path, [(0.0, 0.0), (4.0, 0.0)], 0)
         sched = tmp_path / "nan.json"
@@ -292,6 +319,11 @@ class TestOracleCommand:
         inst = write_instance(tmp_path, [(0.0, 0.0), (1.0, 0.0)], 0)
         assert main(["oracle", "--input", inst]) == 2
         capsys.readouterr()
+
+    def test_resolution_below_the_floor_is_precondition_error(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (5.0, 0.0)], 1)
+        assert main(["oracle", "--input", inst, "--resolution", "1e-6"]) == 3
+        assert "resolution must be at least" in capsys.readouterr().err
 
 
 class TestPlotCommand:

@@ -7,6 +7,8 @@ logic with the implementation.
 
 import math
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -65,6 +67,39 @@ def brute_mec(points):
                 if covers(ux, uy, r) and (best is None or r < best[2]):
                     best = (ux, uy, r)
     return best
+
+
+def exact_mec_radii(points):
+    """Exact minimum-enclosing-circle radius of every subset, by mask.
+
+    Candidates are every robot, the midpoint of every pair and the
+    circumcenter of every non-collinear triple, in exact rational
+    arithmetic; a subset's radius is the smallest candidate circle that
+    contains all of it with no tolerance. Only the final square root is
+    rounded. Returns a list of 2**n floats (entry 0 unused).
+    """
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    circles = [(p, Fraction(0)) for p in pts]
+    for p, q in combinations(pts, 2):
+        c = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+        circles.append((c, (p[0] - c[0]) ** 2 + (p[1] - c[1]) ** 2))
+    for (ax, ay), (bx, by), (cx, cy) in combinations(pts, 3):
+        d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+        if d == 0:
+            continue
+        aa, bb, cc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+        ux = (aa * (by - cy) + bb * (cy - ay) + cc * (ay - by)) / d
+        uy = (aa * (cx - bx) + bb * (ax - cx) + cc * (bx - ax)) / d
+        circles.append(((ux, uy), (ax - ux) ** 2 + (ay - uy) ** 2))
+    best = [math.inf] * (1 << len(pts))
+    for (cx, cy), r2 in circles:
+        cover = sum(
+            1 << i for i, (x, y) in enumerate(pts) if (x - cx) ** 2 + (y - cy) ** 2 <= r2
+        )
+        for mask in range(1, 1 << len(pts)):
+            if mask & cover == mask and r2 < best[mask]:
+                best[mask] = r2
+    return [math.sqrt(r2) for r2 in best]
 
 
 def valid_centerpoint(pts, K, margin: float = 1e-9) -> bool:
